@@ -21,6 +21,11 @@ every flag the parser defines must be mentioned somewhere in the docs
 (undocumented surface).  Flags belonging to other tools the docs discuss
 (pytest, the bench comparators) are allowlisted in :data:`EXTERNAL_FLAGS`.
 
+``ROADMAP.md`` is checked like every other document, so its open items
+describe planned work in prose: a file an item plans is named without its
+repo path until it exists, and a planned CLI option is described without
+spelling out its ``--flag`` until the parser accepts it.
+
 Usage::
 
     python tools/check_docs.py            # checks the repo it lives in
@@ -145,8 +150,10 @@ def check_cli_flags(root: Path, docs: list[Path]) -> list[str]:
                 if flag not in known:
                     errors.append(
                         f"{doc.relative_to(root)}:{lineno}: flag {flag!r} is not "
-                        "accepted by any `python -m repro` subcommand (stale docs, "
-                        "or add it to EXTERNAL_FLAGS if it belongs to another tool)"
+                        "accepted by any `python -m repro` subcommand (stale docs; "
+                        "if the option is only planned, describe it in prose until "
+                        "the parser accepts it; or add it to EXTERNAL_FLAGS if it "
+                        "belongs to another tool)"
                     )
     for flag in sorted(known - documented):
         errors.append(
