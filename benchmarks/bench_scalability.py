@@ -5,19 +5,16 @@ Theorems 3 and 6 bound the mechanisms by O(n⁴/ε) (single task) and O(n²t)
 checks the growth is polynomial-ish (no blow-up), which is the property
 the paper's 'computational efficiency' claims care about in practice.
 
-The **kernel n-sweep** (``run_kernel_sweep_multi`` / ``_single``) grows
-that one point into a scaling curve: each sweep times the vectorized
-kernel against the dense reference at increasing ``n``, asserts exact
-trace parity wherever both run, records the vectorized path's peak memory
-(tracemalloc), and lands the per-``n`` records in ``BENCH_kernels.json``
-at the repo root — so the curve, not a single size, is tracked per PR.
-The reference kernel is capped at ``reference_max_n`` (the dense rescan is
-O(n·t) *per iteration* and would dominate the benchmark's wall clock).
-``run_kernel_auction`` is the ISSUE's headline datapoint: a complete
-n=100k/1k-task multi-task auction — critical-payment pricing and reward
-contracts included — recorded with its own instance parameters, because
-exact-parity pricing replays the greedy once per winner (O(W²) iterations
-total) and therefore wants a winner count set by the instance, not by n.
+The **kernel n-sweep** (``run_kernel_sweep_multi``) grows that one point
+into a scaling curve for the multi-task greedy, the one winner-determination
+loop with two kernels: it times the vectorized kernel against the dense
+reference at increasing ``n``, asserts exact trace parity wherever both
+run, records the vectorized path's peak memory (tracemalloc), and lands
+the per-``n`` records in ``BENCH_kernels.json`` at the repo root — so the
+curve, not a single size, is tracked per change.  The reference kernel is
+capped at ``reference_max_n`` (the dense rescan is O(n·t) *per iteration*
+and would dominate the benchmark's wall clock).  The whole 10⁵-user
+auction is timed end to end, layer by layer, by ``e2ebench/``.
 
 Full-size runs are marked ``perf`` and excluded from tier-1; run them with
 ``pytest benchmarks/bench_scalability.py -m perf``.  The smoke-size sweep
@@ -35,9 +32,8 @@ import pytest
 
 from repro.core.fptas import fptas_min_knapsack
 from repro.core.greedy import greedy_allocation
-from repro.core.multi_task import MultiTaskMechanism
-from repro.core.transforms import contribution_to_pos, pos_to_contribution
-from repro.core.types import AuctionInstance, SingleTaskInstance, Task, UserType
+from repro.core.transforms import contribution_to_pos
+from repro.core.types import AuctionInstance, Task, UserType
 from repro.simulation.experiments import ExperimentResult
 
 BENCH_KERNELS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -188,89 +184,6 @@ def run_kernel_sweep_multi(
     }
 
 
-def run_kernel_auction(
-    n_users: int = 100_000,
-    n_tasks: int = 1_000,
-    users_per_task: float = 0.75,
-    seed: int = 4242,
-    max_workers: int | None = None,
-) -> dict:
-    """The headline datapoint: one complete n=100k/1k-task auction.
-
-    Runs the full :class:`MultiTaskMechanism` — winner determination *and*
-    critical-payment pricing with reward contracts — on the vectorized
-    kernel, recording ``allocation_seconds`` (winner determination alone)
-    and ``auction_seconds`` (everything) separately.  Pricing replays the
-    greedy once per winner, so its cost is O(W²) iterations no matter how
-    fast each iteration is; ``users_per_task=0.75`` keeps the winner count
-    near the floor the bundle size forces (W ≳ t/3 when bundles hold at
-    most three tasks) so the datapoint measures kernel throughput, not an
-    arbitrarily inflated replay count.  The instance parameters are part of
-    the record — the numbers are only comparable across PRs at equal
-    settings.
-    """
-    instance = make_sparse_multi(
-        n_users, n_tasks, seed=seed + n_users, users_per_task=users_per_task
-    )
-    alloc_seconds, trace = _timed(
-        lambda: greedy_allocation(instance, kernel="vectorized")
-    )
-    mech = MultiTaskMechanism(kernel="vectorized")
-    auction_seconds, outcome = _timed(
-        lambda: mech.run(instance, max_workers=max_workers)
-    )
-    assert frozenset(trace.selected) == outcome.winners
-    return {
-        "benchmark": "kernel_headline_auction",
-        "seed": seed,
-        "users_per_task": users_per_task,
-        "n_users": n_users,
-        "n_tasks": n_tasks,
-        "n_winners": len(outcome.winners),
-        "allocation_seconds": round(alloc_seconds, 3),
-        "auction_seconds": round(auction_seconds, 3),
-    }
-
-
-def run_kernel_sweep_single(
-    n_values: tuple[int, ...] = (50, 100, 200),
-    seed: int = 777,
-    epsilon: float = 0.5,
-) -> dict:
-    """Time the single-task FPTAS per kernel across an n-sweep.
-
-    Asserts full :class:`~repro.core.fptas.FptasResult` equality between
-    the frontier and dense-table kernels at every point before recording
-    the speedup.
-    """
-    from .bench_pricing import make_rank_spread_single
-
-    points = []
-    for n in n_values:
-        instance = make_rank_spread_single(n, seed=seed + n)
-        vec_seconds, vec_result = _timed(
-            lambda: fptas_min_knapsack(instance, epsilon, kernel="vectorized")
-        )
-        ref_seconds, ref_result = _timed(
-            lambda: fptas_min_knapsack(instance, epsilon, kernel="reference")
-        )
-        assert vec_result == ref_result, f"kernel result mismatch at n={n}"
-        points.append(
-            {
-                "n_users": n,
-                "vectorized_seconds": round(vec_seconds, 6),
-                "reference_seconds": round(ref_seconds, 6),
-                "speedup": round(ref_seconds / max(vec_seconds, 1e-12), 2),
-            }
-        )
-    return {
-        "benchmark": "kernel_sweep_single",
-        "seed": seed,
-        "epsilon": epsilon,
-        "sweep": points,
-    }
-
-
 def write_kernel_records(records: list[dict], path: Path = BENCH_KERNELS_PATH) -> Path:
     """Merge sweep records into ``BENCH_kernels.json``, keyed by benchmark."""
     existing = {"records": {}}
@@ -287,22 +200,14 @@ def write_kernel_records(records: list[dict], path: Path = BENCH_KERNELS_PATH) -
 def test_kernel_scaling_full_size():
     """Acceptance sweep: ≥10x at the largest common size, 100k completes."""
     multi = run_kernel_sweep_multi()
-    single = run_kernel_sweep_single()
-    auction = run_kernel_auction()
-    write_kernel_records([multi, single, auction])
+    write_kernel_records([multi])
     from benchmarks.history import append_history
 
-    append_history({r["benchmark"]: r for r in (multi, single, auction)})
+    append_history({multi["benchmark"]: multi})
 
     by_n = {p["n_users"]: p for p in multi["sweep"]}
     largest_common = max(n for n, p in by_n.items() if "speedup" in p)
     assert by_n[largest_common]["speedup"] >= 10.0, by_n[largest_common]
-
-    assert auction["n_users"] >= 100_000 and auction["n_tasks"] >= 1_000
-    assert auction["auction_seconds"] > 0.0 and auction["n_winners"] > 0
-
-    for point in single["sweep"]:
-        assert point["speedup"] > 0.0  # parity asserted inside the sweep
 
     print("\nkernel n-sweep (multi-task winner determination):")
     for p in multi["sweep"]:
@@ -311,15 +216,3 @@ def test_kernel_scaling_full_size():
             f"  n={p['n_users']:>6} t={p['n_tasks']:>4}  "
             f"vec={p['vectorized_seconds']:.3f}s  speedup={speed}"
         )
-    print("kernel n-sweep (single-task FPTAS):")
-    for p in single["sweep"]:
-        print(
-            f"  n={p['n_users']:>6}  vec={p['vectorized_seconds']:.3f}s  "
-            f"speedup={p['speedup']:.1f}x"
-        )
-    print(
-        f"headline auction: n={auction['n_users']} t={auction['n_tasks']}  "
-        f"allocation={auction['allocation_seconds']}s  "
-        f"full auction={auction['auction_seconds']}s  "
-        f"winners={auction['n_winners']}"
-    )

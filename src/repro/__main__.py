@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=list(KERNELS),
         default=None,
-        help="mechanism compute kernel (default: vectorized, or the "
+        help="multi-task greedy compute kernel (default: vectorized, or the "
         f"{ENV_KERNEL} environment variable); results are bit-identical",
     )
     run.add_argument(
@@ -400,6 +400,29 @@ def _open_resume(args: argparse.Namespace) -> tuple[str, Path, dict] | int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not args.json:
+        return _run_experiments(args)[0]
+    # SciPy's HiGHS (reached through core/baselines.py) prints solver notes
+    # to fd 1 itself, past sys.stdout.  Point fd 1 at stderr while the
+    # experiments run (pool workers inherit it), so that stdout carries the
+    # JSON document alone.
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        code, document = _run_experiments(args)
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+    if document is not None:
+        print(json.dumps(document, indent=2, default=str))
+    return code
+
+
+def _run_experiments(args: argparse.Namespace) -> tuple[int, dict | None]:
+    """Run the requested experiments; return the exit code and, under
+    ``--json``, the document to print."""
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     quiet = args.json
     if args.kernel is not None:
@@ -422,10 +445,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "error: --resume already names the run directory; drop --out-dir",
                 file=sys.stderr,
             )
-            return 2
+            return 2, None
         opened = _open_resume(args)
         if isinstance(opened, int):
-            return opened
+            return opened, None
         run_id, out_dir, prior_config = opened
         # A queue directory records the overrides its cells were enqueued
         # with (possibly --set customised); reuse them so the resumed run
@@ -593,26 +616,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest.write(out_dir)
 
     if quiet:
-        print(
-            json.dumps(
-                {
-                    "run_id": run_id,
-                    "out_dir": str(out_dir),
-                    "wall_clock_seconds": manifest.wall_clock_seconds,
-                    "experiments": json_payload,
-                },
-                indent=2,
-                default=str,
-            )
-        )
-    else:
-        if len(names) > 1:
-            print("# elapsed per experiment:")
-            for entry in summaries:
-                print(f"#   {entry['experiment']:<20} {entry['elapsed_seconds']:>8.1f}s")
-            print(f"#   {'total':<20} {manifest.wall_clock_seconds:>8.1f}s")
-        print(f"# run artifacts: {out_dir}")
-    return 0
+        return 0, {
+            "run_id": run_id,
+            "out_dir": str(out_dir),
+            "wall_clock_seconds": manifest.wall_clock_seconds,
+            "experiments": json_payload,
+        }
+    if len(names) > 1:
+        print("# elapsed per experiment:")
+        for entry in summaries:
+            print(f"#   {entry['experiment']:<20} {entry['elapsed_seconds']:>8.1f}s")
+        print(f"#   {'total':<20} {manifest.wall_clock_seconds:>8.1f}s")
+    print(f"# run artifacts: {out_dir}")
+    return 0, None
 
 
 def _parse_set_overrides(pairs: list[str]) -> dict:

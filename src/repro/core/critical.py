@@ -87,7 +87,6 @@ def critical_contribution_single(
     tolerance: float = DEFAULT_TOLERANCE,
     allocator: WinPredicate | None = None,
     tracer=None,
-    kernel: str | None = None,
 ) -> float:
     """Binary-search the critical contribution of a single-task winner.
 
@@ -103,9 +102,6 @@ def critical_contribution_single(
         tracer: Optional duck-typed :class:`repro.obs.tracing.Tracer`; when
             set, every bisection probe is recorded as a ``critical.probe``
             audit event.
-        kernel: Compute kernel for the counterfactual FPTAS runs (ignored
-            when ``allocator`` is given); ``None`` defers to
-            :func:`repro.core.kernels.resolve_kernel`.
 
     Returns:
         The minimum contribution ``q̄_i`` (within ``tolerance``) at which the
@@ -122,7 +118,7 @@ def critical_contribution_single(
             if allocator is not None:
                 won = user_id in allocator(modified)
             else:
-                won = user_id in fptas_min_knapsack(modified, epsilon, kernel=kernel).selected
+                won = user_id in fptas_min_knapsack(modified, epsilon).selected
         except InfeasibleInstanceError:
             # Lowering a pivotal user's contribution below the point where
             # the task is coverable at all: the auction cannot clear, so she

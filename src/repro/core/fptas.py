@@ -13,9 +13,9 @@ Two implementation layers:
 
 * :func:`_min_knapsack_scaled` — a vectorised (numpy) exact DP over integer
   costs with per-item decision layers for O(n·C_max) time and memory.  This
-  is the workhorse; the list-based Pareto DP in :mod:`repro.core.knapsack`
-  is the paper-literal reference implementation used to cross-check it in
-  tests.
+  is the only DP Algorithm 2 runs on; the list-based Pareto DP in
+  :mod:`repro.core.knapsack` is the paper-literal Algorithm 1 and its
+  oracle in tests.
 * :func:`fptas_min_knapsack` — the full Algorithm 2 driver.
 
 Determinism: users are sorted by (cost, user id), the DP prefers *not*
@@ -42,8 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleInstanceError, ValidationError
-from .frontier_kernel import frontier_answer, frontier_init, frontier_rows
-from .kernels import resolve_kernel
 from .types import SingleTaskInstance
 
 __all__ = ["FptasResult", "fptas_min_knapsack", "DEFAULT_EPSILON", "MAX_DP_CELLS"]
@@ -111,7 +109,7 @@ def _dp_rows(
     ``j``'s decision bits for the backward reconstruction walk.  Exposing the
     row loop lets :class:`repro.perf.single_pricer.SingleTaskPricer` resume
     from a snapshot taken after a shared prefix of layers, so the fast path
-    runs the *same* float operations as the reference solver.
+    runs the *same* float operations as :func:`_min_knapsack_scaled`.
     """
     n_cells = best.size
     if cand is None:
@@ -174,34 +172,10 @@ def _min_knapsack_scaled(
     return frozenset(items), target
 
 
-def _min_knapsack_frontier(
-    int_costs: np.ndarray, contributions: np.ndarray, requirement: float, counters=None
-) -> tuple[frozenset[int], int] | None:
-    """The ``kernel="vectorized"`` inner solver: Pareto-frontier arrays.
-
-    Bit-identical results to :func:`_min_knapsack_scaled` (see
-    :mod:`repro.core.frontier_kernel` for the parity argument) but allocates
-    per surviving frontier state instead of ``n·(c_max+1)`` dense cells, so
-    the :data:`MAX_DP_CELLS` guard meters the *actual* cumulative work.
-    """
-    state = frontier_init()
-    frontier_rows(
-        state,
-        int_costs,
-        contributions,
-        0,
-        len(int_costs),
-        max_cells=MAX_DP_CELLS,
-        counters=counters,
-    )
-    return frontier_answer(state, requirement, _EPS)
-
-
 def fptas_min_knapsack(
     instance: SingleTaskInstance,
     epsilon: float = DEFAULT_EPSILON,
     counters=None,
-    kernel: str | None = None,
 ) -> FptasResult:
     """Algorithm 2: (1+ε)-approximate winner determination, single task.
 
@@ -213,10 +187,6 @@ def fptas_min_knapsack(
         counters: Optional :class:`repro.perf.instrumentation.PerfCounters`
             (duck-typed) accumulating ``fptas_subproblems`` and
             ``fptas_dp_cells``.
-        kernel: ``"vectorized"`` (Pareto-frontier array DP) or
-            ``"reference"`` (dense cost-indexed DP); ``None`` defers to
-            :func:`repro.core.kernels.resolve_kernel`.  Both produce
-            bit-identical results.
 
     Returns:
         The selected users with cost/contribution diagnostics.
@@ -228,11 +198,6 @@ def fptas_min_knapsack(
     """
     if epsilon <= 0 or not math.isfinite(epsilon):
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
-    solver = (
-        _min_knapsack_frontier
-        if resolve_kernel(kernel) == "vectorized"
-        else _min_knapsack_scaled
-    )
     if instance.requirement <= _EPS:
         return FptasResult(
             selected=frozenset(),
@@ -273,7 +238,9 @@ def fptas_min_knapsack(
         scaled = np.floor(costs[:k] / mu_k).astype(np.int64)
         if counters is not None:
             counters.fptas_subproblems += 1
-        solved = solver(scaled, contribs[:k], requirement, counters=counters)
+        solved = _min_knapsack_scaled(
+            scaled, contribs[:k], requirement, counters=counters
+        )
         if solved is None:
             continue
         items, scaled_cost = solved

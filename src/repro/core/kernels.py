@@ -1,26 +1,27 @@
 """Kernel selection for the mechanism hot loops.
 
-Both winner-determination algorithms ship two interchangeable compute
+The multi-task greedy — winner determination and the counterfactual
+replays of critical-payment pricing — ships two interchangeable compute
 kernels with bit-identical outputs:
 
-* ``"vectorized"`` (default) — sparse array kernels sized for ``n = 10^5``
-  and beyond: the greedy runs on a CSR contribution matrix with
-  incremental gain maintenance (:mod:`repro.core.contrib_matrix`), the
-  FPTAS dynamic program on a Pareto-frontier array kernel
-  (:mod:`repro.core.frontier_kernel`).
-* ``"reference"`` — the previous dense implementations (full-rescan
-  greedy over an ``n × t`` matrix, dense cost-indexed DP tables), kept as
-  the parity oracle and for the scaling benchmark's baseline.
+* ``"vectorized"`` (default) — the greedy runs on a sparse CSR
+  contribution matrix with incremental gain maintenance
+  (:mod:`repro.core.contrib_matrix`), sized for ``n = 10^5`` and beyond.
+* ``"reference"`` — the dense full-rescan greedy over an ``n × t``
+  matrix, kept as the parity oracle and for the scaling benchmark's
+  baseline.
+
+The single-task FPTAS takes no kernel: it always runs the dense
+cost-indexed row DP of :mod:`repro.core.fptas`.
 
 The switch is resolved per call site, in priority order: an explicit
 ``kernel=`` argument, a process-wide default installed with
 :func:`set_default_kernel` (the CLI's ``--kernel`` flag), the
 ``REPRO_KERNEL`` environment variable (which propagates into worker
 processes spawned by the parallel experiment runner), then
-:data:`DEFAULT_KERNEL`.  Parity between the two kernels is enforced the
-same way ``pricing="fast"`` was gated in PR 1: the property-test matrix in
+:data:`DEFAULT_KERNEL`.  The property-test matrix in
 ``tests/perf/test_kernels_parity.py`` asserts bit-identical allocations,
-traces, and rewards.
+traces, and rewards across the two kernels.
 
 Pricing fan-out resolves through the same shape of chain
 (:func:`resolve_price_workers`): an explicit ``max_workers=`` argument >

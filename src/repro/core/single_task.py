@@ -22,7 +22,6 @@ from typing import Any
 from .critical import DEFAULT_TOLERANCE, critical_contribution_single
 from .errors import ValidationError
 from .fptas import DEFAULT_EPSILON, FptasResult, fptas_min_knapsack
-from .kernels import resolve_kernel
 from .obshooks import emit as _emit
 from .obshooks import span as _span
 from .rewards import ECReward, ec_reward
@@ -72,11 +71,6 @@ class SingleTaskMechanism:
             monotone FPTAS probes, bit-identical critical bids;
             ``"reference"`` keeps the literal per-probe full FPTAS reruns of
             :func:`critical_contribution_single`.
-        kernel: Compute kernel for the FPTAS dynamic program —
-            ``"vectorized"`` (Pareto-frontier arrays) or ``"reference"``
-            (dense cost-indexed tables), bit-identical outcomes; ``None``
-            (default) defers to :func:`repro.core.kernels.resolve_kernel`
-            at construction time.
 
     Example:
         >>> from repro.core.types import SingleTaskInstance
@@ -97,7 +91,6 @@ class SingleTaskMechanism:
         alpha: float = 10.0,
         tolerance: float = DEFAULT_TOLERANCE,
         pricing: str = "fast",
-        kernel: str | None = None,
     ):
         if alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {alpha!r}")
@@ -107,11 +100,10 @@ class SingleTaskMechanism:
         self.alpha = alpha
         self.tolerance = tolerance
         self.pricing = pricing
-        self.kernel = resolve_kernel(kernel)
 
     def determine_winners(self, instance: SingleTaskInstance) -> FptasResult:
         """Run only the winner-determination stage (Algorithm 2)."""
-        return fptas_min_knapsack(instance, self.epsilon, kernel=self.kernel)
+        return fptas_min_knapsack(instance, self.epsilon)
 
     def run(
         self,
@@ -139,14 +131,11 @@ class SingleTaskMechanism:
             n_users=instance.n_users,
             pricing=self.pricing,
             epsilon=self.epsilon,
-            kernel=self.kernel,
         ):
             with counters.stage("winner_determination"), _span(
                 tracer, "winner_determination", algorithm="fptas"
             ):
-                allocation = fptas_min_knapsack(
-                    instance, self.epsilon, counters=counters, kernel=self.kernel
-                )
+                allocation = fptas_min_knapsack(instance, self.epsilon, counters=counters)
             if compute_rewards:
                 with counters.stage("reward_determination"), _span(
                     tracer, "reward_determination", n_winners=len(allocation.selected)
@@ -160,7 +149,6 @@ class SingleTaskMechanism:
                             tolerance=self.tolerance,
                             counters=counters,
                             tracer=tracer,
-                            kernel=self.kernel,
                         )
                         criticals = pricer.price_all(allocation.selected)
                     else:
@@ -171,7 +159,6 @@ class SingleTaskMechanism:
                                 epsilon=self.epsilon,
                                 tolerance=self.tolerance,
                                 tracer=tracer,
-                                kernel=self.kernel,
                             )
                             for uid in sorted(allocation.selected)
                         }
@@ -190,7 +177,7 @@ class SingleTaskMechanism:
                     success_reward=reward.success_reward,
                     failure_reward=reward.failure_reward,
                 )
-            _emit(tracer, "mechanism.perf", kernel=self.kernel, **counters.to_dict())
+            _emit(tracer, "mechanism.perf", **counters.to_dict())
         winner_contributions = [
             instance.contributions[instance.index_of(uid)] for uid in allocation.selected
         ]

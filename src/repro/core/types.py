@@ -186,6 +186,9 @@ class AuctionInstance:
     def __init__(self, tasks, users):
         object.__setattr__(self, "tasks", tuple(tasks))
         object.__setattr__(self, "users", tuple(users))
+        # Not a dataclass field, so ``==`` and hashing still see only
+        # ``tasks`` and ``users``.
+        object.__setattr__(self, "_users_by_id", {u.user_id: u for u in self.users})
         self._validate()
 
     def _validate(self) -> None:
@@ -194,8 +197,7 @@ class AuctionInstance:
         task_ids = [t.task_id for t in self.tasks]
         if len(set(task_ids)) != len(task_ids):
             raise ValidationError("duplicate task ids in instance")
-        user_ids = [u.user_id for u in self.users]
-        if len(set(user_ids)) != len(user_ids):
+        if len(self._users_by_id) != len(self.users):
             raise ValidationError("duplicate user ids in instance")
         known = set(task_ids)
         for user in self.users:
@@ -220,10 +222,7 @@ class AuctionInstance:
         raise KeyError(task_id)
 
     def user_by_id(self, user_id: int) -> UserType:
-        for user in self.users:
-            if user.user_id == user_id:
-                return user
-        raise KeyError(user_id)
+        return self._users_by_id[user_id]
 
     def requirements(self) -> dict[int, float]:
         """Map task id to contribution requirement ``Q_j``."""

@@ -48,9 +48,6 @@ class PerfCounters:
         greedy_rows_recomputed: Rows whose capped gain the vectorized greedy
             actually recomputed (the incremental kernel's work metric; the
             dense kernel rescans ``n`` rows per iteration).
-        fptas_frontier_states: Surviving Pareto-frontier states summed over
-            layers (the vectorized DP's footprint; compare against
-            ``fptas_dp_cells`` to see the pruning ratio).
         pricing_early_exits: Counterfactual replays terminated by the
             proven early-exit certificate (``method="threshold"`` only —
             the replay's remaining iterations were shown to be incapable of
@@ -70,7 +67,6 @@ class PerfCounters:
     wins_evaluations: int = 0
     wins_cache_hits: int = 0
     greedy_rows_recomputed: int = 0
-    fptas_frontier_states: int = 0
     pricing_early_exits: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
 

@@ -52,19 +52,11 @@ from repro.core.critical import DEFAULT_TOLERANCE
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import (
     DEFAULT_EPSILON,
-    MAX_DP_CELLS,
     _EPS,
     _check_dp_cells,
     _dp_rows,
     _reconstruct,
 )
-from repro.core.frontier_kernel import (
-    FrontierState,
-    frontier_answer,
-    frontier_init,
-    frontier_rows,
-)
-from repro.core.kernels import resolve_kernel
 from repro.core.obshooks import emit as _emit
 from repro.core.obshooks import span as _span
 from repro.core.types import SingleTaskInstance
@@ -95,12 +87,6 @@ class SingleTaskPricer:
             set, every ``wins(q)`` probe is recorded as a ``critical.probe``
             audit event (with ``cached=True`` when the monotone memo
             answered it without an FPTAS run).
-        kernel: ``"vectorized"`` runs every subproblem on the
-            Pareto-frontier array kernel (prefix snapshots become
-            :class:`repro.core.frontier_kernel.FrontierState` copies);
-            ``"reference"`` keeps the dense cost-indexed DP.  Bit-identical
-            probes either way; ``None`` defers to
-            :func:`repro.core.kernels.resolve_kernel`.
 
     Unlike the reference function this pricer always prices against the
     FPTAS (no ``allocator`` override); use the reference for custom
@@ -115,7 +101,6 @@ class SingleTaskPricer:
         counters: PerfCounters | None = None,
         snapshot_cells: int = DEFAULT_SNAPSHOT_CELLS,
         tracer=None,
-        kernel: str | None = None,
     ):
         if epsilon <= 0 or not math.isfinite(epsilon):
             raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -124,7 +109,6 @@ class SingleTaskPricer:
         self.tolerance = tolerance
         self.counters = counters if counters is not None else PerfCounters()
         self.tracer = tracer
-        self.kernel = resolve_kernel(kernel)
         self._probe_seconds = 0.0  # accumulated by _wins under a tracer
 
         n = instance.n_users
@@ -146,16 +130,13 @@ class SingleTaskPricer:
         self._original_selected: frozenset[int] | None = None
 
         # Prefix snapshots, shared across priced users.  Each entry maps a
-        # subproblem size ``k`` to ``(layer, cells, state)``: the DP state
-        # after item layers ``[0, layer)`` — all carrying *original*
-        # contributions, hence user-independent — its budget charge, and
-        # the state itself ((value row, decision bits) under the reference
-        # kernel, a FrontierState copy under the vectorized one).
+        # subproblem size ``k`` to ``(layer, cells, (best, take))``: the DP
+        # value row and decision bits after item layers ``[0, layer)`` —
+        # all carrying *original* contributions, hence user-independent —
+        # and its budget charge.
         self._snapshot_budget = snapshot_cells
         self._prefix_user: int | None = None
-        self._prefix: dict[
-            int, tuple[int, int, tuple[np.ndarray, np.ndarray] | FrontierState]
-        ] = {}
+        self._prefix: dict[int, tuple[int, int, tuple[np.ndarray, np.ndarray]]] = {}
         self._prefix_cells = 0
         self._win_bound = math.inf
         self._loss_bound = -math.inf
@@ -190,8 +171,6 @@ class SingleTaskPricer:
         self, k: int, contribs: np.ndarray, rank: int
     ) -> tuple[frozenset[int], int] | None:
         """Run subproblem ``k`` in full, snapshotting the prefix if it fits."""
-        if self.kernel == "vectorized":
-            return self._solve_fresh_frontier(k, contribs, rank)
         ints, c_max = self._scaled(k)
         _check_dp_cells(k, c_max)
         self.counters.fptas_subproblems += 1
@@ -209,33 +188,6 @@ class SingleTaskPricer:
             _dp_rows(best, take, ints, contribs, 0, k, counters=self.counters)
         return self._finish(k, ints, best, take)
 
-    def _solve_fresh_frontier(
-        self, k: int, contribs: np.ndarray, rank: int
-    ) -> tuple[frozenset[int], int] | None:
-        """Vectorized ``_solve_fresh``: frontier arrays, FrontierState snapshot."""
-        ints, _c_max = self._scaled(k)
-        self.counters.fptas_subproblems += 1
-        state = frontier_init()
-        if 0 < rank < k:
-            frontier_rows(
-                state, ints, contribs, 0, rank,
-                max_cells=MAX_DP_CELLS, counters=self.counters,
-            )
-            cells = state.size_cells
-            if self._prefix_cells + cells <= self._snapshot_budget:
-                self._prefix[k] = (rank, cells, state.copy())
-                self._prefix_cells += cells
-            frontier_rows(
-                state, ints, contribs, rank, k,
-                max_cells=MAX_DP_CELLS, counters=self.counters,
-            )
-        else:
-            frontier_rows(
-                state, ints, contribs, 0, k,
-                max_cells=MAX_DP_CELLS, counters=self.counters,
-            )
-        return frontier_answer(state, self.instance.requirement, _EPS)
-
     def _solve_dynamic(
         self, k: int, contribs: np.ndarray, rank: int
     ) -> tuple[frozenset[int], int] | None:
@@ -252,30 +204,9 @@ class SingleTaskPricer:
         entry = self._prefix.get(k)
         if entry is None:
             return self._solve_fresh(k, contribs, rank)
-        layer, cells, state = entry
+        layer, cells, (prefix_best, take) = entry
         ints, c_max = self._scaled(k)
         self.counters.fptas_subproblems += 1
-        if self.kernel == "vectorized":
-            resumed = state.copy()
-            self.counters.fptas_dp_cells_reused += resumed.cells
-            if layer < rank:
-                frontier_rows(
-                    resumed, ints, contribs, layer, rank,
-                    max_cells=MAX_DP_CELLS, counters=self.counters,
-                )
-                new_cells = resumed.size_cells
-                if self._prefix_cells - cells + new_cells <= self._snapshot_budget:
-                    self._prefix[k] = (rank, new_cells, resumed.copy())
-                    self._prefix_cells += new_cells - cells
-                else:
-                    del self._prefix[k]
-                    self._prefix_cells -= cells
-            frontier_rows(
-                resumed, ints, contribs, rank, k,
-                max_cells=MAX_DP_CELLS, counters=self.counters,
-            )
-            return frontier_answer(resumed, self.instance.requirement, _EPS)
-        prefix_best, take = state
         best = prefix_best.copy()
         self.counters.fptas_dp_cells_reused += layer * (c_max + 1)
         if layer < rank:
@@ -501,7 +432,6 @@ def critical_contribution_single_fast(
     epsilon: float = DEFAULT_EPSILON,
     tolerance: float = DEFAULT_TOLERANCE,
     counters: PerfCounters | None = None,
-    kernel: str | None = None,
 ) -> float:
     """One-shot convenience wrapper around :class:`SingleTaskPricer`.
 
@@ -510,5 +440,5 @@ def critical_contribution_single_fast(
     subproblem and original-allocation caches then carry across winners.
     """
     return SingleTaskPricer(
-        instance, epsilon=epsilon, tolerance=tolerance, counters=counters, kernel=kernel
+        instance, epsilon=epsilon, tolerance=tolerance, counters=counters
     ).critical(user_id)

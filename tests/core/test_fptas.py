@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InfeasibleInstanceError, ValidationError
 from repro.core.baselines import exhaustive_single_task
-from repro.core.fptas import fptas_min_knapsack
+from repro.core.fptas import _min_knapsack_scaled, fptas_min_knapsack
+from repro.core.knapsack import solve_min_knapsack
 from repro.core.types import SingleTaskInstance
 
 from ..conftest import make_random_single_task, single_task_instances
@@ -56,6 +58,42 @@ class TestBasics:
         instance = SingleTaskInstance(0.5, (7,), (3.0,), (0.9,))
         result = fptas_min_knapsack(instance, 0.5)
         assert result.selected == frozenset({7})
+
+
+class TestDynamicProgram:
+    """The DP every subproblem runs, against Algorithm 1 as its oracle."""
+
+    @given(
+        items=st.lists(
+            st.tuples(st.integers(0, 30), st.floats(0.0, 5.0)), min_size=1, max_size=10
+        ),
+        fraction=st.floats(0.05, 1.3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_min_scaled_cost_matches_algorithm_1(self, items, fraction):
+        costs = [c for c, _ in items]
+        contributions = [q for _, q in items]
+        requirement = fraction * sum(contributions)
+        # The DP accepts sums within 1e-9 of Q, Algorithm 1 within 1e-12;
+        # keep every subset sum clear of both.
+        sums = [0.0]
+        for q in contributions:
+            sums += [s + q for s in sums]
+        assume(all(abs(s - requirement) > 1e-9 for s in sums))
+
+        solved = _min_knapsack_scaled(
+            np.array(costs, dtype=np.int64), np.array(contributions), requirement
+        )
+        try:
+            oracle = solve_min_knapsack(costs, contributions, requirement)
+        except InfeasibleInstanceError:
+            assert solved is None
+            return
+        assert solved is not None
+        chosen, scaled_cost = solved
+        assert scaled_cost == oracle.cost
+        assert sum(costs[i] for i in chosen) == scaled_cost
+        assert sum(contributions[i] for i in chosen) >= requirement
 
 
 class TestApproximationGuarantee:

@@ -132,6 +132,12 @@ class TestAuctionInstance:
         assert replaced.user_by_id(1).cost == 9.0
         assert small_multi_task.user_by_id(1).cost == 2.0
 
+    def test_equality_and_hash(self, small_multi_task):
+        # Built from tasks and users alone; the user-id index is no field.
+        rebuilt = AuctionInstance(small_multi_task.tasks, small_multi_task.users)
+        assert rebuilt == small_multi_task and hash(rebuilt) == hash(small_multi_task)
+        assert rebuilt != small_multi_task.without_user(3)
+
     def test_with_replaced_unknown_user_raises(self, small_multi_task):
         with pytest.raises(KeyError):
             small_multi_task.with_replaced_user(UserType(99, cost=1.0, pos={0: 0.5}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -65,6 +66,27 @@ def test_run_json_stdout_is_one_json_document(capsys, tmp_path):
     assert experiment["experiment_id"] == "fig4"
     assert experiment["headers"] == ["pos_bin_center", "density"]
     assert experiment["rows"] and experiment["elapsed_seconds"] >= 0
+
+
+def test_run_json_sends_native_fd1_writes_to_stderr(capfd, monkeypatch, tmp_path):
+    """HiGHS prints solver notes to fd 1 itself; under --json they must land
+    on stderr and leave stdout to the JSON document."""
+    from repro.core import baselines
+
+    milp_select = baselines._milp_select
+
+    def noisy_milp_select(*args, **kwargs):
+        os.write(1, b"HighsMipSolverData::transformNewIntegerFeasibleSolution\n")
+        return milp_select(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_milp_select", noisy_milp_select)
+    out_dir = tmp_path / "fig5brun"
+    argv = ["run", "fig5b", "--json", "--quick", "--n-taxis", "60", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    out, err = capfd.readouterr()
+    (experiment,) = json.loads(out)["experiments"]
+    assert experiment["experiment_id"] == "fig5b"
+    assert "HighsMipSolverData" in err
 
 
 def test_report_reconstructs_run(fig5a_run, capsys):

@@ -1,12 +1,15 @@
 """Bit-exact parity matrix: vectorized vs reference kernels, both pricers.
 
-The vectorized kernels are performance paths only — every observable the
-mechanisms produce (winner sets, greedy/FPTAS traces, critical bids, and
-reward contracts) must be *bit-identical* to the reference paths, not just
-approximately equal.  ``MultiTaskOutcome``/``SingleTaskOutcome`` equality
-compares every field except ``perf``, so whole-outcome ``==`` is exactly
-that contract.  The matrix here crosses mechanism × pricer × kernel on
-hypothesis-generated instances plus the known hard corners: gain ties
+The vectorized greedy kernel and the fast pricers are performance paths
+only — every observable the mechanisms produce (winner sets, greedy
+traces, FPTAS allocations, critical bids, and reward contracts) must be
+*bit-identical* to the reference paths, not just approximately equal.
+``MultiTaskOutcome``/``SingleTaskOutcome`` equality compares every field
+except ``perf``, so whole-outcome ``==`` is exactly that contract.  The
+matrix here crosses pricer × kernel for the multi-task mechanism and
+pins both single-task pricers (whose FPTAS has a single dynamic program)
+to the paper-literal allocation-then-bisection pipeline, on
+hypothesis-generated instances, plus the known hard corners: gain ties
 *created by contribution capping* and infeasible instances.
 """
 
@@ -15,10 +18,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.core.critical import critical_contribution_single
 from repro.core.errors import InfeasibleInstanceError
 from repro.core.fptas import fptas_min_knapsack
 from repro.core.greedy import greedy_allocation
 from repro.core.multi_task import MultiTaskMechanism
+from repro.core.rewards import ec_reward
 from repro.core.single_task import SingleTaskMechanism
 from repro.core.transforms import contribution_to_pos
 from repro.core.types import AuctionInstance, Task, UserType
@@ -32,15 +37,6 @@ def test_greedy_traces_bit_identical(instance):
     assert greedy_allocation(instance, require_feasible=False, kernel="vectorized") == (
         greedy_allocation(instance, require_feasible=False, kernel="reference")
     )
-
-
-@settings(deadline=None, max_examples=30)
-@given(instance=single_task_instances())
-def test_fptas_results_bit_identical(instance):
-    for epsilon in (0.5, 0.1):
-        assert fptas_min_knapsack(instance, epsilon, kernel="vectorized") == (
-            fptas_min_knapsack(instance, epsilon, kernel="reference")
-        )
 
 
 @pytest.mark.parametrize("pricing", ["fast", "reference"])
@@ -57,14 +53,26 @@ def test_multi_task_outcomes_bit_identical(pricing, instance):
 @settings(deadline=None, max_examples=15)
 @given(instance=single_task_instances())
 def test_single_task_outcomes_bit_identical(pricing, instance):
-    vec = SingleTaskMechanism(epsilon=0.3, pricing=pricing, kernel="vectorized").run(
+    """Either pricing path reproduces the paper-literal pipeline: the FPTAS
+    allocation, then one full-FPTAS-per-probe critical-bid search per
+    winner, priced into an EC contract."""
+    epsilon, alpha = 0.3, 10.0
+    outcome = SingleTaskMechanism(epsilon=epsilon, alpha=alpha, pricing=pricing).run(
         instance
     )
-    ref = SingleTaskMechanism(epsilon=0.3, pricing=pricing, kernel="reference").run(
-        instance
-    )
-    assert vec == ref
-    assert vec.allocation == ref.allocation and vec.rewards == ref.rewards
+    allocation = fptas_min_knapsack(instance, epsilon)
+    rewards = {
+        uid: ec_reward(
+            uid,
+            critical_contribution_single(instance, uid, epsilon),
+            instance.costs[instance.index_of(uid)],
+            alpha,
+        )
+        for uid in sorted(allocation.selected)
+    }
+    assert outcome.allocation == allocation and outcome.winners == allocation.selected
+    assert outcome.social_cost == allocation.total_cost
+    assert outcome.rewards == rewards
 
 
 @settings(deadline=None, max_examples=10)

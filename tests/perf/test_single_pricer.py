@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from repro.core.critical import critical_contribution_single
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import MAX_DP_CELLS, fptas_min_knapsack
+from repro.core.kernels import ENV_KERNEL, resolve_kernel
 from repro.core.types import SingleTaskInstance
 from repro.perf import PerfCounters, SingleTaskPricer, critical_contribution_single_fast
 
@@ -57,26 +58,35 @@ def test_module_level_helper_matches_class(rng):
 
 
 @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
-def test_cross_winner_prefix_batching(rng, kernel):
+def test_cross_winner_prefix_batching(rng, kernel, monkeypatch):
     """Pricing all winners through one pricer resumes prefix snapshots
     across users: same prices as isolated pricers, fewer DP cells computed,
-    with the savings on the reuse counter."""
+    with the savings on the reuse counter.  The kernel setting selects only
+    the multi-task greedy, so either value leaves the DP work unchanged."""
     instance = make_random_single_task(rng, n_users=25)
     winners = sorted(fptas_min_knapsack(instance, EPSILON).selected)
     if len(winners) < 2:
         pytest.skip("needs at least two winners to share a prefix")
+    monkeypatch.delenv(ENV_KERNEL, raising=False)
+    unset_counters = PerfCounters()
+    unset = SingleTaskPricer(
+        instance, epsilon=EPSILON, counters=unset_counters
+    ).price_all(winners)
+    monkeypatch.setenv(ENV_KERNEL, kernel)
+    assert resolve_kernel() == kernel
     shared_counters = PerfCounters()
     shared = SingleTaskPricer(
-        instance, epsilon=EPSILON, counters=shared_counters, kernel=kernel
+        instance, epsilon=EPSILON, counters=shared_counters
     ).price_all(winners)
     isolated_counters = PerfCounters()
     for uid in winners:
-        isolated = SingleTaskPricer(
-            instance, epsilon=EPSILON, counters=isolated_counters, kernel=kernel
-        )
+        isolated = SingleTaskPricer(instance, epsilon=EPSILON, counters=isolated_counters)
         assert shared[uid] == isolated.critical(uid)
     assert shared_counters.fptas_dp_cells < isolated_counters.fptas_dp_cells
     assert shared_counters.fptas_dp_cells_reused > 0
+    assert shared == unset
+    assert shared_counters.fptas_dp_cells == unset_counters.fptas_dp_cells
+    assert shared_counters.fptas_dp_cells_reused == unset_counters.fptas_dp_cells_reused
 
 
 def test_price_all_order_invariance(rng):
@@ -124,29 +134,17 @@ def _dp_bomb() -> SingleTaskInstance:
 
 
 def test_memory_guard_trips_in_fptas():
-    # The dense kernel must refuse up front on its n·(c_max+1) worst case.
+    # The DP must refuse up front on its n·(c_max+1) worst case.
     with pytest.raises(ValidationError, match="MAX_DP_CELLS"):
-        fptas_min_knapsack(_dp_bomb(), epsilon=1e-9, kernel="reference")
+        fptas_min_knapsack(_dp_bomb(), epsilon=1e-9)
     assert MAX_DP_CELLS > 0  # the guard bound is a real, positive cap
-
-
-def test_frontier_kernel_solves_what_dense_guard_refuses():
-    # The frontier kernel meters actual allocation (≤ 2^n states here), so
-    # the same hostile instance solves fine under kernel="vectorized" —
-    # exactly the guard-semantics fix the vectorized DP is meant to bring.
-    result = fptas_min_knapsack(_dp_bomb(), epsilon=1e-9, kernel="vectorized")
-    assert result.selected  # 4 cheapest users cover requirement 2.0
-    assert result.contribution >= 2.0 - 1e-9
 
 
 def test_memory_guard_trips_in_pricer():
     instance = _dp_bomb()
     # Winner determination at a sane epsilon, pricing probes at a hostile one:
-    # the dense pricer must refuse the oversized DP rather than allocate it,
-    # while the vectorized pricer completes on its tiny actual frontier.
+    # the pricer must refuse the oversized DP rather than allocate it.
     winners = sorted(fptas_min_knapsack(instance, EPSILON).selected)
-    pricer = SingleTaskPricer(instance, epsilon=1e-9, kernel="reference")
+    pricer = SingleTaskPricer(instance, epsilon=1e-9)
     with pytest.raises(ValidationError, match="MAX_DP_CELLS"):
         pricer.critical(winners[0])
-    vec = SingleTaskPricer(instance, epsilon=1e-9, kernel="vectorized")
-    assert vec.critical(winners[0]) >= 0.0

@@ -37,6 +37,14 @@ class TestCatchesRot:
         assert "README.md:1" in proc.stdout
         assert "docs/NOPE.md" in proc.stdout
 
+    def test_failure_still_lists_the_checked_documents(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "GUIDE.md").write_text("# guide\n")
+        (tmp_path / "README.md").write_text("see [the guide](docs/NOPE.md)\n")
+        proc = run_checker(str(tmp_path))
+        assert proc.returncode == 1
+        assert "README.md" in proc.stdout and "docs/GUIDE.md" in proc.stdout
+
     def test_missing_backtick_path_fails(self, tmp_path):
         (tmp_path / "README.md").write_text("run `scripts/do_thing.py` first\n")
         proc = run_checker(str(tmp_path))

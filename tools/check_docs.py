@@ -32,7 +32,8 @@ Usage::
     python tools/check_docs.py /some/repo
 
 Exits 0 when every reference resolves, 1 otherwise (each broken reference
-is printed as ``file:line: message``).
+is printed as ``file:line: message``).  Either way stdout names the
+documents that were checked.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         print(err)
     checked = ", ".join(str(d.relative_to(root)) for d in docs)
     if errors:
+        print(f"checked: {checked}")
         print(f"{len(errors)} broken reference(s) across {checked}", file=sys.stderr)
         return 1
     print(f"docs OK: {checked}")
