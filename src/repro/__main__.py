@@ -45,15 +45,6 @@ import sys
 import time
 from pathlib import Path
 
-from .core.kernels import (
-    ENV_KERNEL,
-    ENV_PRICE_WORKERS,
-    ENV_WORKLOAD_KERNEL,
-    KERNELS,
-    resolve_kernel,
-    resolve_price_workers,
-    resolve_workload_kernel,
-)
 from .obs import EventLog, RunManifest, Tracer, build_report, format_report, new_run_id
 from .obs.dashboard import watch_dashboard, write_dashboard
 from .obs.metrics import MetricsRegistry
@@ -118,16 +109,11 @@ QUICK_OVERRIDES = {
 }
 
 
-def _price_workers_argtype(value: str) -> str:
-    """argparse type for ``--price-workers``: reject typos at parse time
-    (mirroring how ``choices`` guards ``--kernel``)."""
-    from .core.errors import ValidationError
-
-    try:
-        resolve_price_workers(value)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
+def _positive_int(value: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42, help="testbed RNG seed (default 42)")
     run.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for cell execution (default 1 = serial; "
         "results are identical either way)",
     )
     run.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="cells per dispatch chunk (default: ~4 chunks per worker)",
     )
@@ -190,31 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="shrink every experiment to a smoke-test size",
-    )
-    run.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        help="multi-task greedy compute kernel (default: vectorized, or the "
-        f"{ENV_KERNEL} environment variable); results are bit-identical",
-    )
-    run.add_argument(
-        "--workload-kernel",
-        choices=list(KERNELS),
-        default=None,
-        help="workload-engine kernel for Markov fitting and instance "
-        "generation (default: vectorized, or the "
-        f"{ENV_WORKLOAD_KERNEL} environment variable); instances are "
-        "bit-identical",
-    )
-    run.add_argument(
-        "--price-workers",
-        default=None,
-        type=_price_workers_argtype,
-        metavar="N|auto",
-        help="worker fan-out for the counterfactual pricing phase "
-        f"(default: auto, or the {ENV_PRICE_WORKERS} environment "
-        "variable); prices are bit-identical at any count",
     )
     run.add_argument(
         "--backend",
@@ -328,20 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _price_workers_spec(args: argparse.Namespace) -> str:
-    """The pricing fan-out requested by this command, normalised for the
-    manifest: ``"auto"`` stays symbolic (the resolved count is a property of
-    the host, not of the run configuration), explicit counts stringify.
-    Raises :class:`ValidationError` on a typo, naming the source."""
-    spec = (
-        args.price_workers
-        if args.price_workers is not None
-        else os.environ.get(ENV_PRICE_WORKERS) or "auto"
-    )
-    resolved = resolve_price_workers(spec)
-    return "auto" if resolved.auto else str(resolved.count)
-
-
 def _open_resume(args: argparse.Namespace) -> tuple[str, Path, dict] | int:
     """Validate ``--resume`` against the prior run's manifest.
 
@@ -349,6 +296,8 @@ def _open_resume(args: argparse.Namespace) -> tuple[str, Path, dict] | int:
     refusal: a checkpoint only describes the configuration it was written
     under, so resuming with a different experiment set / seed / fleet /
     quick flag / ledger backend would silently mix incompatible results.
+    The kernel and fan-out fields that older manifests carry are not
+    compared: they never changed a cell's result.
     """
     out_dir = args.resume
     manifest_ok = (out_dir / "MANIFEST.json").exists()
@@ -356,32 +305,12 @@ def _open_resume(args: argparse.Namespace) -> tuple[str, Path, dict] | int:
         print(f"error: no MANIFEST.json in {out_dir}", file=sys.stderr)
         return 2
     prior = RunManifest.load(out_dir)
-    kernel = resolve_kernel(args.kernel)
     mismatches = []
     for label, ours, theirs in (
         ("experiment", args.experiment, prior.config.get("experiment")),
         ("seed", args.seed, prior.seed),
         ("n_taxis", args.n_taxis, prior.config.get("n_taxis")),
         ("quick", args.quick, prior.config.get("quick")),
-        # Kernels are bit-identical, but a checkpoint should still describe
-        # the configuration it resumes under; pre-kernel manifests (no
-        # "kernel" key) accept whatever resolves now.
-        ("kernel", kernel, prior.config.get("kernel", kernel)),
-        (
-            "workload_kernel",
-            resolve_workload_kernel(args.workload_kernel),
-            prior.config.get(
-                "workload_kernel", resolve_workload_kernel(args.workload_kernel)
-            ),
-        ),
-        # Same for pricing fan-out: bit-identical prices, but mixing worker
-        # configurations inside one run directory would misattribute its
-        # timing records.
-        (
-            "price_workers",
-            _price_workers_spec(args),
-            prior.config.get("price_workers", _price_workers_spec(args)),
-        ),
         # A queue directory's cells live in queue.db, a classic run's in
         # checkpoint.jsonl; resuming with the wrong --backend would see an
         # empty ledger and silently recompute everything.
@@ -425,19 +354,6 @@ def _run_experiments(args: argparse.Namespace) -> tuple[int, dict | None]:
     ``--json``, the document to print."""
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     quiet = args.json
-    if args.kernel is not None:
-        # Exporting (rather than set_default_kernel) propagates the choice
-        # into the worker processes the parallel runner spawns.
-        os.environ[ENV_KERNEL] = args.kernel
-    kernel = resolve_kernel(args.kernel)
-    if args.workload_kernel is not None:
-        # Same propagation story as --kernel: workers inherit via the env.
-        os.environ[ENV_WORKLOAD_KERNEL] = args.workload_kernel
-    workload_kernel = resolve_workload_kernel(args.workload_kernel)
-    if args.price_workers is not None:
-        resolve_price_workers(args.price_workers)  # fail fast on a typo
-        os.environ[ENV_PRICE_WORKERS] = str(args.price_workers)
-    price_workers = _price_workers_spec(args)
     resume_overrides: dict | None = None
     if args.resume is not None:
         if args.out_dir is not None:
@@ -482,9 +398,6 @@ def _run_experiments(args: argparse.Namespace) -> tuple[int, dict | None]:
             "workers": args.workers,
             "chunk_size": args.chunk_size,
             "resumed": args.resume is not None,
-            "kernel": kernel,
-            "workload_kernel": workload_kernel,
-            "price_workers": price_workers,
             "backend": args.backend,
             "overrides": overrides_by_name,
         },
@@ -653,10 +566,6 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
 
 def _cmd_enqueue(args: argparse.Namespace) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    kernel = resolve_kernel(None)
-    workload_kernel = resolve_workload_kernel(None)
-    args.price_workers = None  # enqueue has no flag; record the env/default
-    price_workers = _price_workers_spec(args)
     try:
         sets = _parse_set_overrides(args.set or [])
     except ValueError as error:
@@ -685,9 +594,6 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
             "workers": None,
             "chunk_size": None,
             "resumed": False,
-            "kernel": kernel,
-            "workload_kernel": workload_kernel,
-            "price_workers": price_workers,
             "backend": "sqlite",
             "overrides": overrides_by_name,
         },
@@ -706,11 +612,6 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        # Workers rebuild the compute configuration from queue meta, so a
-        # worker shell needs no kernel flags or environment of its own.
-        backend.set_meta("kernel", kernel)
-        backend.set_meta("workload_kernel", workload_kernel)
-        backend.set_meta("price_workers", price_workers)
         counts = backend.counts()
     with EventLog(out_dir / "events.jsonl") as log:
         log.append(
@@ -750,16 +651,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
     worker_id = args.worker_id or default_worker_id()
     with SqliteBackend(db_path) as backend:
-        # Adopt the queue's compute configuration (recorded by enqueue) so
-        # every worker — and any child processes — resolves identically.
-        for env_key, meta_key in (
-            (ENV_KERNEL, "kernel"),
-            (ENV_WORKLOAD_KERNEL, "workload_kernel"),
-            (ENV_PRICE_WORKERS, "price_workers"),
-        ):
-            value = backend.get_meta(meta_key)
-            if value is not None:
-                os.environ[env_key] = str(value)
         with EventLog(run_dir / "events.jsonl") as log:
             worker = QueueWorker(
                 backend,

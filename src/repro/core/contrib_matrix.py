@@ -141,18 +141,6 @@ class ContributionMatrix:
         # fan-out can share one matrix without locking.
         self._buffers = threading.local()
 
-    def __getstate__(self) -> dict:
-        """Picklable snapshot (process-pool fan-out): everything but the
-        per-thread scratch, which each process recreates lazily."""
-        return {
-            name: getattr(self, name) for name in self.__slots__ if name != "_buffers"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._buffers = threading.local()
-
     def _scratch_bufs(self) -> tuple[np.ndarray, np.ndarray]:
         """This thread's (scatter block, dense-row buffer), lazily created."""
         loc = self._buffers

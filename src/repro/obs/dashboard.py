@@ -339,8 +339,6 @@ def _section_manifest(report: RunReport) -> str:
         ],
         ["python", m.platform.get("python", "?")],
         ["machine", m.platform.get("machine", "?")],
-        ["kernel", m.config.get("kernel", "—")],
-        ["workload kernel", m.config.get("workload_kernel", "—")],
         ["artifacts", ", ".join(m.artifacts) or "—"],
     ]
     return _table(["field", "value"], rows, numeric_from=99)

@@ -19,7 +19,8 @@ worth writing.  The disabled path (no tracer, no console) costs one
 constructing a heartbeat entirely when nothing consumes it.
 
 Thread-safety: ``update`` is lock-protected, so the batch pricer's
-opt-in thread fan-out can share one heartbeat across workers.
+thread fan-out (its ``max_workers=`` keyword) can share one heartbeat
+across workers.
 """
 
 from __future__ import annotations
@@ -129,12 +130,11 @@ class Heartbeat:
         """Re-arm the rate/ETA base clock at the true start of the work loop.
 
         A heartbeat is often constructed before the phase's setup finishes
-        — a worker pool spins up, a pricer snapshot is pickled to child
-        processes — and rating ``done`` units against the construction time
-        would understate throughput (and overstate ETA) for the whole
-        phase.  Producers call ``begin()`` immediately before dispatching
-        work; without it the construction time is the base, as before.
-        Units already recorded keep counting.
+        — a worker pool spins up — and rating ``done`` units against the
+        construction time would understate throughput (and overstate ETA)
+        for the whole phase.  Producers call ``begin()`` immediately before
+        dispatching work; without it the construction time is the base, as
+        before.  Units already recorded keep counting.
         """
         with self._lock:
             now = self._clock()

@@ -52,14 +52,13 @@ parity-gated (none of them moves a float the reference would produce):
    selected iterations are bit-identical; batching only changes how many
    numpy calls the refreshes cost.
 
-2. **Multi-core fan-out** — :meth:`price_all` resolves its worker count
-   through :func:`repro.core.kernels.resolve_price_workers` (argument >
-   CLI/process default > ``REPRO_PRICE_WORKERS`` > cpu heuristic) and
-   fans winners out across threads (numpy releases the GIL in the wide
-   reductions) or, with ``backend="process"``, across a process pool fed
-   a picklable pricer snapshot.  Replays are independent, so any
-   partition of winners yields the same prices; per-worker
-   :class:`PerfCounters` merge back in deterministic order.
+2. **Multi-core fan-out** — :meth:`price_all` takes its worker count
+   from the ``max_workers=`` keyword (a count, or ``"auto"`` / ``None``
+   for a cpu heuristic; :func:`repro.core.kernels.resolve_price_workers`)
+   and fans winners out across threads (numpy releases the GIL in the
+   wide reductions).  Replays are independent, so any partition of
+   winners yields the same prices; per-worker :class:`PerfCounters`
+   merge back in deterministic order.
 
 3. **Sound early exit** (``method="threshold"`` only) — a replay may stop
    before the residuals are satisfied once continuing provably cannot
@@ -101,7 +100,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -114,11 +113,7 @@ from repro.core.greedy import (
     positive_residual_snapshot,
     select_best_row,
 )
-from repro.core.kernels import (
-    resolve_kernel,
-    resolve_price_backend,
-    resolve_price_workers,
-)
+from repro.core.kernels import resolve_kernel, resolve_price_workers
 from repro.core.obshooks import emit as _emit
 from repro.core.obshooks import span as _span
 from repro.core.types import AuctionInstance
@@ -145,24 +140,6 @@ _AUTO_FANOUT_MIN_WINNERS = 32
 #: further iterations have run (open tasks may since have closed, which can
 #: make a previously failing certificate pass).
 _EXIT_RECHECK_STRIDE = 32
-
-# Module-level worker state for the process backend: the initializer
-# installs one pricer snapshot per worker process, and chunks are priced
-# against it without re-pickling per task.
-_WORKER_PRICER: "BatchPricer | None" = None
-
-
-def _pool_init(pricer: "BatchPricer") -> None:
-    global _WORKER_PRICER
-    _WORKER_PRICER = pricer
-
-
-def _price_chunk(user_ids: list[int]) -> tuple[list[int], list[float], PerfCounters]:
-    counters = PerfCounters()
-    assert _WORKER_PRICER is not None, "process pool initializer did not run"
-    prices = [_WORKER_PRICER.price(uid, counters=counters) for uid in user_ids]
-    return user_ids, prices, counters
-
 
 class _ResidualView:
     """Read-only mapping view of a residual vector (supports ``.get`` only).
@@ -890,24 +867,7 @@ class BatchPricer:
         )
         return price
 
-    def __getstate__(self) -> dict:
-        """Picklable snapshot for the process fan-out backend.
-
-        Tracers are process-local (dropping one only silences worker-side
-        audit events — the parent keeps tracing dispatch and progress),
-        and the shared counters are replaced by a fresh set because worker
-        chunks report their counts back explicitly.
-        """
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        state["counters"] = PerfCounters()
-        return state
-
-    def price_all(
-        self,
-        max_workers: int | str | None = None,
-        backend: str | None = None,
-    ) -> dict[int, float]:
+    def price_all(self, max_workers: int | str | None = None) -> dict[int, float]:
         """Critical bids for every winner, in selection order.
 
         When a tracer is attached, a throttled ``pricing.progress``
@@ -919,10 +879,9 @@ class BatchPricer:
         the pricing phase's own throughput, not diluted by pool startup.
 
         Args:
-            max_workers: Fan-out across winners.  ``None`` defers to
-                :func:`repro.core.kernels.resolve_price_workers` (CLI
-                ``--price-workers`` > ``REPRO_PRICE_WORKERS`` > a cpu-count
-                heuristic); an int or ``"auto"`` overrides.  A
+            max_workers: Thread fan-out across winners: a positive count,
+                or ``"auto"`` / ``None`` for a cpu-count heuristic
+                (:func:`repro.core.kernels.resolve_price_workers`).  A
                 heuristic-resolved count only engages for auctions with at
                 least ``32`` winners — pool startup dominates below that —
                 while an explicitly requested count always fans out.
@@ -930,11 +889,6 @@ class BatchPricer:
                 private counter sets merged back deterministically, so
                 prices *and* merged counter totals are identical to a
                 sequential run for every worker count.
-            backend: ``"thread"`` (default; numpy releases the GIL in the
-                wide reductions) or ``"process"`` (pickled pricer snapshot
-                per worker — for hosts where the GIL still binds at small
-                ``t``); ``None`` defers to
-                :func:`repro.core.kernels.resolve_price_backend`.
         """
         winners = self.trace.selected
         spec = resolve_price_workers(max_workers)
@@ -964,9 +918,6 @@ class BatchPricer:
                 beat.finish()
             return prices
 
-        if resolve_price_backend(backend) == "process":
-            return self._price_all_process(winners, workers, beat)
-
         def _price_one(pair: tuple[int, PerfCounters]) -> float:
             result = self.price(pair[0], counters=pair[1])
             if beat is not None:
@@ -983,43 +934,3 @@ class BatchPricer:
         if beat is not None:
             beat.finish()
         return dict(zip(winners, prices_list))
-
-    def _price_all_process(
-        self, winners: tuple[int, ...], workers: int, beat: Heartbeat | None
-    ) -> dict[int, float]:
-        """Process-pool fan-out: chunked dispatch against pickled snapshots.
-
-        Each worker process receives one pricer snapshot through the pool
-        initializer (pickled once per worker, not per chunk) and prices
-        chunks of winners against it.  Chunk counters merge back in
-        submission order, so the totals match a sequential run; the
-        returned dict is re-keyed in selection order regardless of chunk
-        completion order.
-        """
-        per_worker = workers * 4  # ~4 chunks per worker evens out skew
-        chunk_size = max(1, (len(winners) + per_worker - 1) // per_worker)
-        chunks = [
-            list(winners[lo : lo + chunk_size])
-            for lo in range(0, len(winners), chunk_size)
-        ]
-        prices: dict[int, float] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(self,)
-        ) as pool:
-            if beat is not None:
-                beat.begin()
-            futures = [pool.submit(_price_chunk, chunk) for chunk in chunks]
-            collected: list[PerfCounters | None] = [None] * len(futures)
-            index_of = {fut: k for k, fut in enumerate(futures)}
-            for fut in as_completed(futures):
-                uids, chunk_prices, chunk_counters = fut.result()
-                prices.update(zip(uids, chunk_prices))
-                collected[index_of[fut]] = chunk_counters
-                if beat is not None:
-                    beat.update(advance=len(uids))
-        for chunk_counters in collected:
-            if chunk_counters is not None:
-                self.counters.merge(chunk_counters)
-        if beat is not None:
-            beat.finish()
-        return {uid: prices[uid] for uid in winners}

@@ -253,6 +253,8 @@ class ExperimentRunner:
     ):
         if backend is not None and checkpoint is not None:
             raise ValueError("pass either backend= or checkpoint=, not both")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
         if backend is not None:
             checkpoint = backend
             if completed is None:
@@ -546,6 +548,8 @@ class ExperimentRunner:
             raise ValidationError(f"unknown via {via!r}")
         if not arrays:
             raise ValidationError("map_workload needs at least one array")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValidationError(f"chunk_size must be at least 1, got {chunk_size!r}")
         if n_items is None:
             n_items = int(next(iter(arrays.values())).shape[0])
         if n_items <= 0:

@@ -1,83 +1,67 @@
-"""Kernel selection plumbing: resolution priority and typo diagnostics.
+"""Kernel and fan-out selection: the call site's keyword, or the default.
 
-``resolve_kernel`` arbitrates explicit arguments, the process-wide default
-(the CLI's ``--kernel``), and the ``REPRO_KERNEL`` environment variable
-(how the choice survives into experiment worker processes).  A wrong name
-must fail loudly *naming its source* — a typo exported into the
-environment reads differently from one in code.
+``resolve_kernel``, ``resolve_workload_kernel``, ``resolve_price_workers``
+and ``resolve_price_backend`` turn a ``kernel=`` / ``max_workers=`` /
+``backend=`` keyword into the value a call runs with; ``None`` means the
+default.  A wrong value must fail loudly, and no environment variable —
+not even one named like the ones older versions read — may change what
+any of them returns.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.core.errors import ValidationError
 from repro.core.kernels import (
     DEFAULT_KERNEL,
-    ENV_KERNEL,
-    ENV_PRICE_BACKEND,
-    ENV_PRICE_WORKERS,
     KERNELS,
     PriceWorkers,
     resolve_kernel,
     resolve_price_backend,
     resolve_price_workers,
-    set_default_kernel,
-    set_default_price_workers,
+    resolve_workload_kernel,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_state(monkeypatch):
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
-    monkeypatch.delenv(ENV_PRICE_WORKERS, raising=False)
-    monkeypatch.delenv(ENV_PRICE_BACKEND, raising=False)
-    set_default_kernel(None)
-    set_default_price_workers(None)
-    yield
-    set_default_kernel(None)
-    set_default_price_workers(None)
 
 
 def test_default_is_vectorized():
     assert DEFAULT_KERNEL == "vectorized"
     assert resolve_kernel() == "vectorized"
     assert resolve_kernel(None) == "vectorized"
+    assert resolve_workload_kernel(None) == "vectorized"
 
 
 def test_explicit_argument_wins_over_everything(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "vectorized")
-    set_default_kernel("vectorized")
+    monkeypatch.setenv("REPRO_KERNEL", "vectorized")
     assert resolve_kernel("reference") == "reference"
 
 
-def test_process_default_wins_over_environment(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "vectorized")
-    set_default_kernel("reference")
-    assert resolve_kernel() == "reference"
-
-
-def test_environment_wins_over_builtin_default(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "reference")
-    assert resolve_kernel() == "reference"
-
-
 def test_empty_environment_value_falls_through(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "")
+    monkeypatch.setenv("REPRO_KERNEL", "")
     assert resolve_kernel() == DEFAULT_KERNEL
 
 
-def test_set_default_kernel_clears_with_none():
-    set_default_kernel("reference")
-    set_default_kernel(None)
-    assert resolve_kernel() == DEFAULT_KERNEL
+def test_environment_cannot_steer_resolution(monkeypatch):
+    for name in (
+        "REPRO_KERNEL",
+        "REPRO_WORKLOAD_KERNEL",
+        "REPRO_PRICE_WORKERS",
+        "REPRO_PRICE_BACKEND",
+    ):
+        monkeypatch.setenv(name, "bogus")
+    assert resolve_kernel(None) == DEFAULT_KERNEL
+    assert resolve_workload_kernel(None) == DEFAULT_KERNEL
+    assert resolve_price_workers(None).auto is True
+    assert resolve_price_backend(None) == "thread"
 
 
 @pytest.mark.parametrize(
     ("install", "source"),
     [
         (lambda: resolve_kernel("dense"), "argument"),
-        (lambda: set_default_kernel("dense"), "set_default_kernel"),
+        (lambda: resolve_workload_kernel("dense"), "unknown kernel"),
     ],
 )
 def test_unknown_kernel_names_its_source(install, source):
@@ -85,52 +69,28 @@ def test_unknown_kernel_names_its_source(install, source):
         install()
 
 
-def test_unknown_environment_kernel_names_the_variable(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "dense")
-    with pytest.raises(ValidationError, match=ENV_KERNEL):
-        resolve_kernel()
-
-
 def test_known_kernels_resolve_to_themselves():
     for kernel in KERNELS:
         assert resolve_kernel(kernel) == kernel
+        assert resolve_workload_kernel(kernel) == kernel
 
 
 class TestPriceWorkers:
-    """The pricing fan-out chain mirrors the kernel chain shape."""
-
     def test_default_is_auto_capped_cpu_count(self):
         spec = resolve_price_workers()
         assert spec.auto is True
-        assert 1 <= spec.count <= 8
+        assert spec.count == min(os.cpu_count() or 1, 8)
 
     def test_explicit_argument_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "3")
-        set_default_price_workers(5)
+        monkeypatch.setenv("REPRO_PRICE_WORKERS", "3")
         assert resolve_price_workers(2) == PriceWorkers(2, False)
 
-    def test_process_default_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "3")
-        set_default_price_workers(5)
-        assert resolve_price_workers() == PriceWorkers(5, False)
-
-    def test_environment_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "3")
-        assert resolve_price_workers() == PriceWorkers(3, False)
-
-    def test_string_counts_accepted_anywhere(self, monkeypatch):
-        # The CLI and environment both hand over strings.
-        assert resolve_price_workers("4") == PriceWorkers(4, False)
-        set_default_price_workers("6")
-        assert resolve_price_workers() == PriceWorkers(6, False)
-
-    def test_auto_at_any_level_resolves_to_heuristic(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "auto")
-        assert resolve_price_workers().auto is True
+    def test_auto_at_any_level_resolves_to_heuristic(self):
+        assert resolve_price_workers("auto") == resolve_price_workers(None)
         assert resolve_price_workers("auto").auto is True
 
     def test_empty_environment_value_falls_through(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "")
+        monkeypatch.setenv("REPRO_PRICE_WORKERS", "")
         assert resolve_price_workers().auto is True
 
     @pytest.mark.parametrize("bad", ["fast", "0", "-2", 0, -1, 2.5, True])
@@ -138,32 +98,16 @@ class TestPriceWorkers:
         with pytest.raises(ValidationError, match="argument"):
             resolve_price_workers(bad)
 
-    def test_invalid_environment_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "many")
-        with pytest.raises(ValidationError, match=ENV_PRICE_WORKERS):
-            resolve_price_workers()
-
-    def test_set_default_clears_with_none(self):
-        set_default_price_workers(4)
-        set_default_price_workers(None)
-        assert resolve_price_workers().auto is True
-
 
 class TestPriceBackend:
     def test_default_is_thread(self):
         assert resolve_price_backend() == "thread"
 
     def test_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_BACKEND, "process")
+        monkeypatch.setenv("REPRO_PRICE_BACKEND", "process")
         assert resolve_price_backend("thread") == "thread"
 
-    def test_environment_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_BACKEND, "process")
-        assert resolve_price_backend() == "process"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValidationError, match="argument"):
-            resolve_price_backend("greenlet")
-        monkeypatch.setenv(ENV_PRICE_BACKEND, "greenlet")
-        with pytest.raises(ValidationError, match=ENV_PRICE_BACKEND):
-            resolve_price_backend()
+    def test_unknown_backend_rejected(self):
+        for bad in ("greenlet", "process"):
+            with pytest.raises(ValidationError, match="argument"):
+                resolve_price_backend(bad)

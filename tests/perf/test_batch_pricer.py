@@ -122,21 +122,10 @@ def test_fanout_counters_merge_to_sequential_totals(rng):
             assert getattr(par_counters, f.name) == getattr(seq_counters, f.name), f.name
 
 
-def test_process_backend_parity(rng):
-    instance = make_random_multi_task(rng, n_users=20, n_tasks=4)
-    pricer = BatchPricer(instance, require_feasible=False)
-    sequential = pricer.price_all(max_workers=1)
-    counters = PerfCounters()
-    spawned = BatchPricer(instance, counters=counters, require_feasible=False)
-    assert spawned.price_all(max_workers=2, backend="process") == sequential
-    # Chunk counters travel back over the pipe and merge.
-    assert counters.counterfactual_runs == len(pricer.trace.selected)
-
-
 def test_auto_spec_keeps_small_auctions_sequential(rng, monkeypatch):
     """An auto-resolved count must not pay pool startup on a toy auction
-    (far below the 32-winner fan-out floor); an explicit count — here via
-    the environment — always fans out."""
+    (far below the 32-winner fan-out floor); an explicit count always fans
+    out."""
     from repro.perf import batch_pricer as bp
 
     instance = make_random_multi_task(rng, n_users=15, n_tasks=3)
@@ -149,13 +138,11 @@ def test_auto_spec_keeps_small_auctions_sequential(rng, monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(bp, "ThreadPoolExecutor", SpyPool)
-    monkeypatch.setenv("REPRO_PRICE_WORKERS", "2")
     explicit_pricer = BatchPricer(instance, require_feasible=False)
     assert len(explicit_pricer.trace.selected) >= 2  # else workers clamp to 1
-    explicit = explicit_pricer.price_all()
+    explicit = explicit_pricer.price_all(max_workers=2)
     assert pools == [2]
     pools.clear()
-    monkeypatch.setenv("REPRO_PRICE_WORKERS", "auto")
     auto = BatchPricer(instance, require_feasible=False).price_all()
     assert pools == []
     assert auto == explicit

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from repro.core.critical import critical_contribution_single
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import MAX_DP_CELLS, fptas_min_knapsack
-from repro.core.kernels import ENV_KERNEL, resolve_kernel
+from repro.core.kernels import DEFAULT_KERNEL, resolve_kernel
 from repro.core.types import SingleTaskInstance
 from repro.perf import PerfCounters, SingleTaskPricer, critical_contribution_single_fast
 
@@ -61,19 +61,20 @@ def test_module_level_helper_matches_class(rng):
 def test_cross_winner_prefix_batching(rng, kernel, monkeypatch):
     """Pricing all winners through one pricer resumes prefix snapshots
     across users: same prices as isolated pricers, fewer DP cells computed,
-    with the savings on the reuse counter.  The kernel setting selects only
-    the multi-task greedy, so either value leaves the DP work unchanged."""
+    with the savings on the reuse counter.  A kernel name left in the
+    retired ``REPRO_KERNEL`` variable is ignored, so either value leaves
+    the prices and the DP work unchanged."""
     instance = make_random_single_task(rng, n_users=25)
     winners = sorted(fptas_min_knapsack(instance, EPSILON).selected)
     if len(winners) < 2:
         pytest.skip("needs at least two winners to share a prefix")
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     unset_counters = PerfCounters()
     unset = SingleTaskPricer(
         instance, epsilon=EPSILON, counters=unset_counters
     ).price_all(winners)
-    monkeypatch.setenv(ENV_KERNEL, kernel)
-    assert resolve_kernel() == kernel
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert resolve_kernel() == DEFAULT_KERNEL
     shared_counters = PerfCounters()
     shared = SingleTaskPricer(
         instance, epsilon=EPSILON, counters=shared_counters

@@ -82,6 +82,16 @@ class TestChunking:
         assert default_chunk_size(1, workers=8) == 1
         assert default_chunk_size(200, workers=4) == 13
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_non_positive_chunk_size_rejected(self, size):
+        # chunk_indices(n, -3) yields no chunks, so such a run would execute
+        # no cell at all; 0 would silently fall back to the default.
+        with pytest.raises(ValueError, match="chunk_size"):
+            ExperimentRunner(workers=2, n_taxis=N_TAXIS, chunk_size=size)
+        with ExperimentRunner(workers=1) as runner:
+            with pytest.raises(ValueError, match="chunk_size"):
+                runner.map_workload({"x": np.zeros(4)}, sum, chunk_size=size)
+
 
 class TestGridWellFormedness:
     @pytest.mark.parametrize("name", sorted(GRIDS))

@@ -1,11 +1,13 @@
 """Tests for the `python -m repro` command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.__main__ import EXPERIMENTS, build_parser, main
-from repro.core.kernels import ENV_KERNEL, ENV_PRICE_WORKERS, ENV_WORKLOAD_KERNEL
+
+FIG4 = ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick"]
 
 
 class TestParser:
@@ -55,147 +57,58 @@ class TestMain:
         assert "fraction_below_0.2" in output
 
 
-class TestKernelFlag:
-    def test_parser_rejects_unknown_kernel(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--kernel", "dense"])
+class TestCountFlags:
+    @pytest.mark.parametrize("flag", ["--workers", "--chunk-size"])
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_parser_rejects_non_positive_counts(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "fig4", flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
-    def test_kernel_lands_in_manifest_and_environment(self, tmp_path, monkeypatch):
-        # Seed the env var through monkeypatch so the CLI's export is undone
-        # at teardown.
-        monkeypatch.setenv(ENV_KERNEL, "vectorized")
+
+class TestEnvironmentCannotSteerRun:
+    """Only the command line configures a run: the variables that once
+    picked kernels and pricing fan-out are neither read nor written."""
+
+    RETIRED = (
+        "REPRO_KERNEL",
+        "REPRO_WORKLOAD_KERNEL",
+        "REPRO_PRICE_WORKERS",
+        "REPRO_PRICE_BACKEND",
+    )
+
+    def test_bogus_variables_change_nothing(self, tmp_path, monkeypatch):
+        for name in self.RETIRED:
+            monkeypatch.delenv(name, raising=False)
+        clean_dir = tmp_path / "clean"
+        assert main([*FIG4, "--out-dir", str(clean_dir)]) == 0
+
+        for name in self.RETIRED:
+            monkeypatch.setenv(name, "bogus")
+        before = dict(os.environ)
+        steered_dir = tmp_path / "steered"
+        assert main([*FIG4, "--out-dir", str(steered_dir)]) == 0
+        assert dict(os.environ) == before
+        assert (steered_dir / "fig4.csv").read_text() == (
+            clean_dir / "fig4.csv"
+        ).read_text()
+
+
+class TestResumeOldManifest:
+    def test_retired_config_keys_do_not_block_resume(self, tmp_path):
+        """A run directory written while kernels and fan-out were run
+        options still resumes, recomputing nothing it checkpointed."""
         out_dir = tmp_path / "run"
-        assert (
-            main(
-                ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick",
-                 "--kernel", "reference", "--out-dir", str(out_dir)]
-            )
-            == 0
+        assert main([*FIG4, "--out-dir", str(out_dir)]) == 0
+        manifest_path = out_dir / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(
+            kernel="reference", workload_kernel="reference", price_workers="2"
         )
-        manifest = json.loads((out_dir / "MANIFEST.json").read_text())
-        assert manifest["config"]["kernel"] == "reference"
-        # Exported (not just set process-wide) so spawned experiment workers
-        # inherit the same kernel.
-        import os
+        manifest_path.write_text(json.dumps(manifest))
 
-        assert os.environ[ENV_KERNEL] == "reference"
-
-    def test_resume_refuses_kernel_mismatch(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL, "vectorized")
-        out_dir = tmp_path / "run"
-        args = ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick"]
-        assert main([*args, "--kernel", "reference", "--out-dir", str(out_dir)]) == 0
-        monkeypatch.setenv(ENV_KERNEL, "vectorized")  # undo the CLI's export
-        assert main([*args, "--kernel", "vectorized", "--resume", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "kernel" in err and "reference" in err
-
-
-class TestWorkloadKernelFlag:
-    def test_parser_rejects_unknown_workload_kernel(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--workload-kernel", "dense"])
-
-    def test_workload_kernel_lands_in_manifest_and_environment(
-        self, tmp_path, monkeypatch
-    ):
-        # Seed through monkeypatch so the CLI's export is undone at teardown.
-        monkeypatch.setenv(ENV_WORKLOAD_KERNEL, "vectorized")
-        out_dir = tmp_path / "run"
-        assert (
-            main(
-                ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick",
-                 "--workload-kernel", "reference", "--out-dir", str(out_dir)]
-            )
-            == 0
-        )
-        manifest = json.loads((out_dir / "MANIFEST.json").read_text())
-        assert manifest["config"]["workload_kernel"] == "reference"
-        import os
-
-        # Exported so experiment workers generate with the same engine.
-        assert os.environ[ENV_WORKLOAD_KERNEL] == "reference"
-
-    def test_default_records_resolved_kernel_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_WORKLOAD_KERNEL, raising=False)
-        out_dir = tmp_path / "run"
-        assert (
-            main(["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick",
-                  "--out-dir", str(out_dir)])
-            == 0
-        )
-        manifest = json.loads((out_dir / "MANIFEST.json").read_text())
-        assert manifest["config"]["workload_kernel"] == "vectorized"
-
-    def test_resume_refuses_workload_kernel_mismatch(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_WORKLOAD_KERNEL, "vectorized")
-        out_dir = tmp_path / "run"
-        args = ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick"]
-        assert (
-            main([*args, "--workload-kernel", "reference", "--out-dir", str(out_dir)])
-            == 0
-        )
-        monkeypatch.setenv(ENV_WORKLOAD_KERNEL, "vectorized")  # undo the export
-        assert (
-            main([*args, "--workload-kernel", "vectorized", "--resume", str(out_dir)])
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "workload_kernel" in err and "reference" in err
-
-
-class TestPriceWorkersFlag:
-    def test_parser_rejects_invalid_workers(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--price-workers", "many"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--price-workers", "0"])
-
-    def test_parser_accepts_counts_and_auto(self):
-        args = build_parser().parse_args(["run", "fig4", "--price-workers", "2"])
-        assert args.price_workers == "2"
-        args = build_parser().parse_args(["run", "fig4", "--price-workers", "auto"])
-        assert args.price_workers == "auto"
-        assert build_parser().parse_args(["run", "fig4"]).price_workers is None
-
-    def test_workers_land_in_manifest_and_environment(self, tmp_path, monkeypatch):
-        # Seed through monkeypatch so the CLI's export is undone at teardown.
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "auto")
-        out_dir = tmp_path / "run"
-        assert (
-            main(
-                ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick",
-                 "--price-workers", "2", "--out-dir", str(out_dir)]
-            )
-            == 0
-        )
-        manifest = json.loads((out_dir / "MANIFEST.json").read_text())
-        assert manifest["config"]["price_workers"] == "2"
-        import os
-
-        # Exported so experiment worker processes inherit the fan-out.
-        assert os.environ[ENV_PRICE_WORKERS] == "2"
-
-    def test_default_records_auto_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_PRICE_WORKERS, raising=False)
-        out_dir = tmp_path / "run"
-        assert (
-            main(["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick",
-                  "--out-dir", str(out_dir)])
-            == 0
-        )
-        manifest = json.loads((out_dir / "MANIFEST.json").read_text())
-        # "auto" stays symbolic: the resolved count is a host property.
-        assert manifest["config"]["price_workers"] == "auto"
-
-    def test_resume_refuses_workers_mismatch(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "auto")
-        out_dir = tmp_path / "run"
-        args = ["run", "fig4", "--n-taxis", "60", "--seed", "5", "--quick"]
-        assert main([*args, "--price-workers", "2", "--out-dir", str(out_dir)]) == 0
-        monkeypatch.setenv(ENV_PRICE_WORKERS, "auto")  # undo the CLI's export
-        assert main([*args, "--price-workers", "4", "--resume", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "price_workers" in err and "'2'" in err and "'4'" in err
+        assert main([*FIG4, "--resume", str(out_dir)]) == 0
+        resumed = json.loads(manifest_path.read_text())["cells"]["fig4"]
+        assert resumed["executed"] == 0
+        assert resumed["skipped"] == resumed["total"] > 0

@@ -117,3 +117,24 @@ class TestCliFlagCrossCheck:
         )
         proc = run_checker(str(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestEnvVarCrossCheck:
+    def test_variable_missing_from_sources_fails(self, tmp_path):
+        make_cli_repo(tmp_path, "use `--real-flag`; set `REPRO_GONE=1` first\n")
+        proc = run_checker(str(tmp_path))
+        assert proc.returncode == 1
+        assert "README.md:1" in proc.stdout and "REPRO_GONE" in proc.stdout
+
+    def test_variable_read_by_the_package_passes(self, tmp_path):
+        make_cli_repo(tmp_path, "use `--real-flag` with `REPRO_LIVE=1`\n")
+        (tmp_path / "src" / "repro" / "config.py").write_text(
+            "import os\nLIVE = os.environ.get('REPRO_LIVE')\n"
+        )
+        proc = run_checker(str(tmp_path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_trees_without_the_package_skip_the_variable_check(self, tmp_path):
+        (tmp_path / "README.md").write_text("another tool reads `REPRO_GONE`\n")
+        proc = run_checker(str(tmp_path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr

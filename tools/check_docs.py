@@ -20,6 +20,10 @@ must be accepted by some ``python -m repro`` subcommand (stale docs), and
 every flag the parser defines must be mentioned somewhere in the docs
 (undocumented surface).  Flags belonging to other tools the docs discuss
 (pytest, the bench comparators) are allowlisted in :data:`EXTERNAL_FLAGS`.
+Every ``REPRO_*`` environment-variable name the docs mention must likewise
+appear somewhere under ``src/repro``: a removed variable fails silently
+(the program just ignores it), so nothing else would catch a doc that
+still advertises one.
 
 ``ROADMAP.md`` is checked like every other document, so its open items
 describe planned work in prose: a file an item plans is named without its
@@ -65,6 +69,9 @@ EXTERNAL_FLAGS = {
     "--tolerance",  # tools/compare_bench.py regression threshold
     "--doctest-modules",  # pytest (cited when discussing the test config)
 }
+
+#: Environment-variable names of the program, in prose or commands.
+ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
 
 
 def iter_docs(root: Path):
@@ -164,6 +171,28 @@ def check_cli_flags(root: Path, docs: list[Path]) -> list[str]:
     return errors
 
 
+def check_env_vars(root: Path, docs: list[Path]) -> list[str]:
+    """Cross-check documented ``REPRO_*`` names against the package
+    sources; trees without ``src/repro`` skip the check."""
+    pkg = root / "src" / "repro"
+    if not pkg.is_dir():
+        return []
+    known = {
+        name for path in pkg.rglob("*.py") for name in ENV_VAR.findall(path.read_text())
+    }
+    errors: list[str] = []
+    for doc in docs:
+        for lineno, line in enumerate(doc.read_text().splitlines(), start=1):
+            for name in ENV_VAR.findall(line):
+                if name not in known:
+                    errors.append(
+                        f"{doc.relative_to(root)}:{lineno}: environment variable "
+                        f"{name!r} appears nowhere under src/repro (stale docs: "
+                        "the program would silently ignore it)"
+                    )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parent.parent
@@ -173,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     errors = [err for doc in docs for err in check_doc(root, doc)]
     errors.extend(check_cli_flags(root, docs))
+    errors.extend(check_env_vars(root, docs))
     for err in errors:
         print(err)
     checked = ", ".join(str(d.relative_to(root)) for d in docs)
