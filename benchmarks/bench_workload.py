@@ -1,4 +1,4 @@
-"""Workload-engine scaling: fit / generate / dispatch across an n-sweep.
+"""Workload-engine scaling: fit and generate across an n-sweep.
 
 PR 6/8 made the auction itself cheap at n=100k; this bench tracks the
 other side of the pipeline — everything between raw traces and the
@@ -8,13 +8,7 @@ auction instance:
   vectorized CSR counting vs the per-taxi reference loop;
 * **generate** — ``WorkloadGenerator.multi_task_instance`` end to end
   (reach profiles, ranking, bundle assembly, feasibility repair), with an
-  exact instance-equality assert wherever both kernels run;
-* **dispatch** — handing the generated arrays to pool workers, shared
-  memory vs per-task pickles (:meth:`repro.simulation.parallel.
-  ExperimentRunner.map_workload`), byte-identical by construction;
-* **stream** — a 10^6-taxi instance through
-  :func:`repro.workload.stream.stream_instances`, with per-chunk
-  tracemalloc peaks proving memory stays flat as chunks go by.
+  exact instance-equality assert wherever both kernels run.
 
 Full-size runs are marked ``perf`` and write ``BENCH_workload.json`` at
 the repo root plus one ledger line per record
@@ -43,10 +37,7 @@ import pytest
 
 from repro.mobility.markov import MarkovMobilityModel
 from repro.mobility.markov_kernel import SequenceChunk
-from repro.simulation.parallel import ExperimentRunner
-from repro.workload.config import table2_defaults
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.stream import stream_instances
 
 BENCH_WORKLOAD_PATH = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
 
@@ -241,131 +232,6 @@ def run_assembly_scaling(
 
 
 # --------------------------------------------------------------------- #
-# Dispatch: shared memory vs pickle fan-out
-# --------------------------------------------------------------------- #
-
-
-def dispatch_stage_fn(arrays: dict, sl: slice) -> bytes:
-    """The fanned-out stage: a running reduction over the slice's bids.
-
-    Module-level so pool workers can import it; returns raw bytes so the
-    byte-identity check between serial, shm, and pickle runs is literal.
-    """
-    q = arrays["contribution"][sl] * arrays["weight"][sl]
-    return np.cumsum(q).tobytes()
-
-
-def run_dispatch_bench(
-    n_users: int = 1_000_000,
-    workers: int = 4,
-    chunk_size: int = 125_000,
-    seed: int = 2024,
-) -> dict:
-    """Time ``map_workload`` over one large bid array, shm vs pickle.
-
-    All three routes (serial, shm, pickle) must return byte-identical
-    results; the record keeps the per-route wall clocks and the
-    pickle→shm speedup, the number the dispatch layer exists for.
-    """
-    rng = np.random.default_rng(seed)
-    arrays = {
-        "contribution": rng.exponential(1.0, size=n_users),
-        "weight": rng.uniform(0.5, 1.5, size=n_users),
-    }
-    with ExperimentRunner(workers=1) as serial_runner:
-        serial_s, serial = _timed(
-            lambda: serial_runner.map_workload(
-                arrays, dispatch_stage_fn, chunk_size=chunk_size
-            )
-        )
-    with ExperimentRunner(workers=workers) as runner:
-        runner.map_workload(  # warm the pool so neither route pays startup
-            arrays, dispatch_stage_fn, via="pickle", chunk_size=n_users
-        )
-        pickle_s, pickled = _timed(
-            lambda: runner.map_workload(
-                arrays, dispatch_stage_fn, via="pickle", chunk_size=chunk_size
-            )
-        )
-        shm_s, shared = _timed(
-            lambda: runner.map_workload(
-                arrays, dispatch_stage_fn, via="shm", chunk_size=chunk_size
-            )
-        )
-    assert serial == pickled == shared, "dispatch routes disagree"
-    return {
-        "benchmark": "workload_dispatch",
-        "seed": seed,
-        "n_users": n_users,
-        "workers": workers,
-        "chunk_size": chunk_size,
-        "bytes": int(sum(a.nbytes for a in arrays.values())),
-        "serial_seconds": round(serial_s, 6),
-        "pickle_seconds": round(pickle_s, 6),
-        "shm_seconds": round(shm_s, 6),
-        "speedup": round(pickle_s / max(shm_s, 1e-12), 2),
-    }
-
-
-# --------------------------------------------------------------------- #
-# Million-user stream under bounded memory
-# --------------------------------------------------------------------- #
-
-
-def run_stream_bench(
-    n_taxis: int = 1_000_000,
-    chunk_taxis: int = 50_000,
-    n_tasks: int = 15,
-    seed: int = 7,
-) -> dict:
-    """Stream a ``n_taxis``-taxi instance and record per-chunk memory peaks.
-
-    Traces are generated lazily inside the chunk iterator, so nothing —
-    input or output — is ever resident for more than one chunk.
-    ``tracemalloc.reset_peak`` between chunks turns the cumulative peak
-    into a per-chunk series; a flat series (max ≈ first) is the bounded-
-    memory claim, asserted in the perf test.
-    """
-    n_chunks = n_taxis // chunk_taxis
-
-    def chunks():
-        for i in range(n_chunks):
-            yield make_trace_chunk(
-                chunk_taxis, seed=seed * 1_000_003 + i, first_taxi_id=i * chunk_taxis
-            )
-
-    chunk_peaks: list[float] = []
-    n_users = 0
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        for streamed in stream_instances(
-            chunks(), n_tasks=n_tasks, seed=seed, kernel="vectorized"
-        ):
-            n_users += streamed.n_users
-            _, peak = tracemalloc.get_traced_memory()
-            chunk_peaks.append(peak / 1e6)
-            tracemalloc.reset_peak()
-        elapsed = time.perf_counter() - start
-    finally:
-        tracemalloc.stop()
-    return {
-        "benchmark": "workload_stream",
-        "seed": seed,
-        "n_taxis": n_taxis,
-        "chunk_taxis": chunk_taxis,
-        "n_chunks": n_chunks,
-        "n_tasks": n_tasks,
-        "n_users": n_users,
-        "seconds": round(elapsed, 3),
-        "users_per_second": round(n_users / max(elapsed, 1e-9)),
-        "first_chunk_peak_mb": round(chunk_peaks[0], 3),
-        "max_chunk_peak_mb": round(max(chunk_peaks), 3),
-        "peak_flatness": round(max(chunk_peaks) / max(chunk_peaks[0], 1e-9), 3),
-    }
-
-
-# --------------------------------------------------------------------- #
 # Dump + perf test
 # --------------------------------------------------------------------- #
 
@@ -386,17 +252,13 @@ def write_workload_records(
 
 @pytest.mark.perf
 def test_workload_scaling_full_size():
-    """Acceptance: ≥5× end-to-end at n≥100k taxis; 10^6 streamed flat."""
+    """Acceptance: ≥5× end-to-end at n≥100k taxis."""
     sweep = run_workload_sweep()
     assembly = run_assembly_scaling()
-    dispatch = run_dispatch_bench()
-    stream = run_stream_bench()
-    write_workload_records([sweep, assembly, dispatch, stream])
+    write_workload_records([sweep, assembly])
     from benchmarks.history import append_history
 
-    append_history(
-        {r["benchmark"]: r for r in (sweep, assembly, dispatch, stream)}
-    )
+    append_history({r["benchmark"]: r for r in (sweep, assembly)})
 
     by_n = {p["n_taxis"]: p for p in sweep["sweep"]}
     largest_common = max(n for n, p in by_n.items() if "speedup" in p)
@@ -407,11 +269,6 @@ def test_workload_scaling_full_size():
     # (n, t) grew 4x each: quadratic assembly would land near 16x; the
     # hoisted-set fix keeps the ratio near the ~4x bid growth.
     assert assembly["ratio"] < 10.0, assembly
-
-    assert stream["n_taxis"] >= 1_000_000 and stream["n_users"] > 0
-    # Peak memory must not grow with chunk count: every later chunk stays
-    # within 2x of the first chunk's peak.
-    assert stream["peak_flatness"] < 2.0, stream
 
     print("\nworkload n-sweep (fit + generate, multi-task):")
     for p in sweep["sweep"]:
@@ -424,15 +281,4 @@ def test_workload_scaling_full_size():
     print(
         f"assembly scaling ratio (4x n, 4x t): {assembly['ratio']:.1f}x "
         "(quadratic would be ~16x)"
-    )
-    print(
-        f"dispatch n={dispatch['n_users']}: serial={dispatch['serial_seconds']}s "
-        f"pickle={dispatch['pickle_seconds']}s shm={dispatch['shm_seconds']}s "
-        f"({dispatch['speedup']:.1f}x over pickle)"
-    )
-    print(
-        f"stream: {stream['n_users']} users from {stream['n_taxis']} taxis in "
-        f"{stream['seconds']}s ({stream['users_per_second']}/s), "
-        f"chunk peak {stream['max_chunk_peak_mb']}MB "
-        f"(flatness {stream['peak_flatness']})"
     )

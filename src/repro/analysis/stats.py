@@ -24,7 +24,7 @@ def empirical_cdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     at or below ``xs[i]``.
 
     >>> xs, F = empirical_cdf([3.0, 1.0, 2.0])
-    >>> list(xs), list(F)
+    >>> xs.tolist(), F.tolist()
     ([1.0, 2.0, 3.0], [0.3333333333333333, 0.6666666666666666, 1.0])
     """
     if len(values) == 0:

@@ -31,10 +31,10 @@ def format_table(
     """Render an aligned ASCII table.
 
     >>> print(format_table(["n", "cost"], [[10, 1.234], [100, 5.0]]))
-    n    | cost
-    -----+-----
-    10   | 1.23
-    100  | 5.00
+    n   | cost
+    ----+-----
+    10  | 1.23
+    100 | 5.00
     """
     rendered = [[format_cell(v, precision) for v in row] for row in rows]
     widths = [len(h) for h in headers]

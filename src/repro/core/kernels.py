@@ -17,10 +17,9 @@ cost-indexed row DP of :mod:`repro.core.fptas`.
 A call site's ``kernel=`` keyword is the only switch: ``None`` means
 :data:`DEFAULT_KERNEL`, and no process global or environment variable
 can change what a call computes.  The workload engine (Markov fitting,
-top-m prediction, instance generation, trace streaming) takes the same
-two names through its own ``kernel=`` keywords
-(:func:`resolve_workload_kernel`).  The property-test matrices in
-``tests/perf/test_kernels_parity.py`` and
+top-m prediction, instance generation) takes the same two names through
+its own ``kernel=`` keywords (:func:`resolve_workload_kernel`).  The
+property-test matrices in ``tests/perf/test_kernels_parity.py`` and
 ``tests/perf/test_workload_parity.py`` assert bit-identical outputs
 across the two kernels.
 

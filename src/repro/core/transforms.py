@@ -117,8 +117,8 @@ def quantize_contribution(contribution: float, delta_q: float) -> float:
     publishing the admissible PoS grid.  Rounding *down* means a quantized
     bid never overstates the user's contribution.
 
-    >>> quantize_contribution(0.37, 0.1)
-    0.3
+    >>> quantize_contribution(0.37, 0.125)
+    0.25
     """
     if delta_q <= 0:
         raise ValueError(f"delta_q must be positive, got {delta_q!r}")

@@ -155,6 +155,11 @@ class UserType:
         scaled = {j: 1.0 - (1.0 - min(p, 1.0 - 1e-15)) ** factor for j, p in self.pos.items()}
         return self.with_pos(scaled)
 
+    def __reduce__(self):
+        # The frozen ``pos`` proxy cannot be pickled or deep-copied; rebuild
+        # from a plain dict, which re-runs validation and re-freezes it.
+        return (type(self), (self.user_id, self.cost, dict(self.pos)))
+
     def __hash__(self) -> int:
         return hash((self.user_id, self.cost, tuple(sorted(self.pos.items()))))
 

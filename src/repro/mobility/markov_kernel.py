@@ -100,9 +100,8 @@ class SequenceChunk:
     """A batch of per-taxi location sequences as flat arrays.
 
     ``cells[indptr[i]:indptr[i+1]]`` is taxi ``taxi_ids[i]``'s
-    time-ordered cell sequence.  This is the streaming wire format: a
-    chunk is fitted, ranked and turned into bids without ever building
-    per-taxi Python objects.
+    time-ordered cell sequence.  :func:`fit_fleet` counts a whole chunk
+    in array ops, without ever building per-taxi Python objects.
     """
 
     taxi_ids: np.ndarray

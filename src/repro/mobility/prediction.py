@@ -50,7 +50,8 @@ def prediction_accuracy(
     """
     if not held_out:
         raise ValidationError("held_out must be non-empty")
-    usable = [p for p in held_out if p.taxi_id in set(model.taxi_ids)]
+    fitted = set(model.taxi_ids)
+    usable = [p for p in held_out if p.taxi_id in fitted]
     if not usable:
         raise ValidationError("no held-out pair matches a fitted taxi model")
     for m in m_values:

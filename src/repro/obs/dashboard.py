@@ -602,7 +602,7 @@ def _section_bench(bench_records: dict[str, dict]) -> str:
             ]
             if split:
                 # Workload-engine sweeps split end-to-end time into the
-                # fit and generate stages (dispatch has its own record).
+                # fit and generate stages.
                 out.append(
                     _svg_line_chart(
                         [
@@ -652,26 +652,6 @@ def _section_bench(bench_records: dict[str, dict]) -> str:
                     for p in xs
                 ]
             out.append(_table(headers, rows))
-        elif all(
-            f"{route}_seconds" in record for route in ("serial", "pickle", "shm")
-        ):
-            # Dispatch records: one row per hand-off route.
-            out.append(f"<h3>{_esc(key)}</h3>")
-            out.append(
-                _table(
-                    ["route", "seconds"],
-                    [
-                        [route, _fmt(record[f"{route}_seconds"])]
-                        for route in ("serial", "pickle", "shm")
-                    ],
-                )
-            )
-            if "speedup" in record:
-                out.append(
-                    f"<p class='meta'>shm is {_fmt(record['speedup'])}x faster "
-                    f"than pickling {_fmt(record.get('bytes', '?'))} bytes "
-                    f"across {_fmt(record.get('n_users', '?'))} items</p>"
-                )
         else:
             rows = [
                 [field, _fmt(value)]

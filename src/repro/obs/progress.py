@@ -7,16 +7,16 @@ opening and closing.  :class:`Heartbeat` fixes that: a producer wraps its
 loop, calls :meth:`Heartbeat.update` once per unit of work, and the
 heartbeat emits a throttled ``<label>.progress`` event (done/total,
 rate, ETA) through the duck-typed tracer — so a ``--watch`` dashboard or
-a ``tail -f events.jsonl`` sees the phase moving — plus an optional
-console line for ``repro run --progress``.
+a ``tail -f events.jsonl`` sees the phase moving.  ``repro run
+--progress`` renders those events as one console line.
 
 Throttling: an event is emitted when *either* ``every_n`` units have
 completed since the last emission *or* ``every_seconds`` have elapsed,
 and always on :meth:`finish`.  Producers therefore call ``update`` freely
 (once per winner, once per cell); the heartbeat decides when a record is
-worth writing.  The disabled path (no tracer, no console) costs one
-``is None`` check at the call site — producers are expected to skip
-constructing a heartbeat entirely when nothing consumes it.
+worth writing.  The disabled path (no tracer) costs one ``is None``
+check at the call site — producers are expected to skip constructing a
+heartbeat entirely when nothing consumes it.
 
 Thread-safety: ``update`` is lock-protected, so the batch pricer's
 thread fan-out (its ``max_workers=`` keyword) can share one heartbeat
@@ -62,9 +62,9 @@ def format_progress(
 def progress_printer(stream: TextIO | None = None) -> Callable[[str], None]:
     """A console callback: rewrite one status line in place (``\\r``-style).
 
-    Suitable for ``Heartbeat(console=...)`` or as the ``repro run
-    --progress`` sink.  Lines go to ``stream`` (default ``sys.stderr``);
-    each line is padded to cover the previous one.
+    Used by the ``repro run --progress`` event sink.  Lines go to
+    ``stream`` (default ``sys.stderr``); each line is padded to cover the
+    previous one.
     """
 
     state = {"width": 0}
@@ -93,8 +93,6 @@ class Heartbeat:
         every_seconds: Also emit when this much time passed since the last
             emission, no matter how few units completed (default 5s) —
             slow phases stay visibly alive.
-        console: Optional callable receiving a formatted progress line on
-            every emission (see :func:`progress_printer`).
         attrs: Extra key/values attached to every event (e.g.
             ``mechanism="multi_task"``).
         clock: Injectable time source for tests.
@@ -107,14 +105,12 @@ class Heartbeat:
         tracer: Any = None,
         every_n: int | None = None,
         every_seconds: float = 5.0,
-        console: Callable[[str], None] | None = None,
         clock: Callable[[], float] = time.perf_counter,
         **attrs: Any,
     ):
         self.label = label
         self.total = total
         self.tracer = tracer
-        self.console = console
         self.every_n = every_n if every_n is not None else max(1, (total or 0) // 50)
         self.every_seconds = every_seconds
         self.attrs = attrs
@@ -180,8 +176,6 @@ class Heartbeat:
             payload["final"] = True
         if self.tracer is not None:
             self.tracer.event(f"{self.label}{PROGRESS_SUFFIX}", **payload)
-        if self.console is not None:
-            self.console(format_progress(self.label, self.done, self.total, rate, eta))
         self._last_emit_t = now
         self._last_emit_done = self.done
         self.emitted += 1

@@ -1466,7 +1466,8 @@ def run_ablation_smoothing(
         One row per estimator with ranking accuracy and calibration stats.
     """
     tb = testbed or default_testbed(kind="citywide")
-    usable = [p for p in tb.dataset.held_out if p.taxi_id in set(tb.model.taxi_ids)]
+    fitted = set(tb.model.taxi_ids)
+    usable = [p for p in tb.dataset.held_out if p.taxi_id in fitted]
     rows = []
     for smoothing in ("laplace", "paper", "mle"):
         model = MarkovMobilityModel.from_sequences(tb.dataset.train, smoothing=smoothing)

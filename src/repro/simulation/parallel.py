@@ -37,29 +37,18 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from multiprocessing import resource_tracker
 
-import numpy as np
-
-from ..core.errors import ValidationError
-from ..core.obshooks import span
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import Heartbeat
 from ..obs.tracing import Tracer
 from .checkpoint import CellRecord, normalize_values
 from .experiments import GRIDS, Cell, ExperimentGrid, default_testbed
-from .shm import SharedArrayHandle, SharedArrayPack
 
 __all__ = [
     "ExperimentRunner",
     "chunk_indices",
     "default_chunk_size",
 ]
-
-# Arrays at or above this many payload bytes default to shared-memory
-# hand-off in map_workload(via="auto"); smaller payloads pickle faster
-# than a segment round-trips.
-_SHM_AUTO_THRESHOLD = 1 << 20
 
 
 def chunk_indices(n: int, size: int) -> list[list[int]]:
@@ -163,38 +152,6 @@ def _worker_run_chunk(
     return payloads
 
 
-# Per-worker cache of attached shared packs, keyed by segment name, so a
-# worker maps each segment once no matter how many slices it processes and
-# the views stay valid while the executor pickles the slice results.
-# Bounded: old segments are unmapped once the parent has disposed them.
-_ATTACHED_PACKS: dict[str, SharedArrayPack] = {}
-_MAX_ATTACHED = 4
-
-
-def _attached_pack(handle: SharedArrayHandle) -> SharedArrayPack:
-    pack = _ATTACHED_PACKS.get(handle.shm_name)
-    if pack is None:
-        while len(_ATTACHED_PACKS) >= _MAX_ATTACHED:
-            oldest = next(iter(_ATTACHED_PACKS))
-            _ATTACHED_PACKS.pop(oldest).close()
-        pack = SharedArrayPack.attach(handle)
-        _ATTACHED_PACKS[handle.shm_name] = pack
-    return pack
-
-
-def _worker_map_slice(payload, fn, start: int, stop: int):
-    """Run ``fn(arrays, slice)`` in a worker, resolving the array source.
-
-    ``payload`` is either ``("shm", handle)`` — attach (cached) and view —
-    or ``("pickle", arrays)`` — the arrays travelled in the task pickle.
-    Either way ``fn`` sees the same bytes the parent holds, so serial and
-    parallel runs are byte-identical by construction.
-    """
-    kind, source = payload
-    arrays = _attached_pack(source).arrays if kind == "shm" else source
-    return fn(arrays, slice(start, stop))
-
-
 # --------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------- #
@@ -273,12 +230,6 @@ class ExperimentRunner:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Start the resource tracker before forking: workers then
-            # inherit it, so their shared-memory attach registrations land
-            # in the parent's ledger (settled by the creator's unlink)
-            # instead of each worker lazily spawning a tracker of its own
-            # that would warn about "leaked" segments at shutdown.
-            resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_init,
@@ -506,89 +457,6 @@ class ExperimentRunner:
                 )
                 if beat is not None:
                     beat.update()
-
-    # -- workload fan-out ---------------------------------------------- #
-
-    def map_workload(
-        self,
-        arrays: dict,
-        fn,
-        n_items: int | None = None,
-        via: str = "auto",
-        chunk_size: int | None = None,
-    ) -> list:
-        """Fan ``fn(arrays, slice)`` out over the pool without copying arrays.
-
-        Splits ``range(n_items)`` into contiguous slices and calls
-        ``fn(arrays, slice)`` for each — in-process when ``workers == 1``,
-        across the pool otherwise.  With ``via="shm"`` the arrays cross the
-        process boundary as one :class:`~repro.simulation.shm.
-        SharedArrayPack` (a name + layout handle per task, never the
-        bytes); ``via="pickle"`` ships them in each task payload;
-        ``"auto"`` picks shm once the payload reaches ~1 MiB.  Results come
-        back **in slice order** regardless of completion order, so serial
-        and parallel runs agree byte for byte.
-
-        Args:
-            arrays: ``name -> numpy array``.  ``fn`` receives an equivalent
-                mapping (shared views in shm mode — treat as read-only).
-            fn: Module-level callable ``fn(arrays, slice) -> result``
-                (workers import it by reference, so it must be picklable).
-                Results must not alias the passed-in views.
-            n_items: Item count to shard; defaults to ``len`` of the first
-                array's leading axis.
-            via: ``"auto"`` | ``"shm"`` | ``"pickle"``.
-            chunk_size: Items per slice (default:
-                :func:`default_chunk_size`).
-
-        Returns:
-            ``[fn(arrays, s) for s in slices]`` in slice order.
-        """
-        if via not in ("auto", "shm", "pickle"):
-            raise ValidationError(f"unknown via {via!r}")
-        if not arrays:
-            raise ValidationError("map_workload needs at least one array")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(f"chunk_size must be at least 1, got {chunk_size!r}")
-        if n_items is None:
-            n_items = int(next(iter(arrays.values())).shape[0])
-        if n_items <= 0:
-            return []
-        chunk = chunk_size or default_chunk_size(n_items, self.workers)
-        groups = chunk_indices(n_items, chunk)
-        slices = [(g[0], g[-1] + 1) for g in groups]
-
-        if self.workers == 1:
-            with span(
-                self.tracer, "dispatch.map_workload", via="serial", slices=len(slices)
-            ):
-                return [fn(arrays, slice(a, b)) for a, b in slices]
-
-        nbytes = sum(int(np.ascontiguousarray(a).nbytes) for a in arrays.values())
-        if via == "auto":
-            via = "shm" if nbytes >= _SHM_AUTO_THRESHOLD else "pickle"
-        pool = self._ensure_pool()
-        pack = SharedArrayPack.create(arrays) if via == "shm" else None
-        payload = ("shm", pack.handle) if pack is not None else ("pickle", arrays)
-        try:
-            with span(
-                self.tracer,
-                "dispatch.map_workload",
-                via=via,
-                slices=len(slices),
-                bytes=nbytes,
-            ):
-                futures = [
-                    pool.submit(_worker_map_slice, payload, fn, a, b)
-                    for a, b in slices
-                ]
-                results: list = [None] * len(futures)
-                for position, future in enumerate(futures):
-                    results[position] = future.result()
-                return results
-        finally:
-            if pack is not None:
-                pack.dispose()
 
     def _merge_metrics(
         self, name: str, cells, values_by_index, metrics_by_index

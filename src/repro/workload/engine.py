@@ -287,7 +287,8 @@ def multi_task_vectorized(
                 continue
         dropped.append(cell)
 
-    kept_cells = tuple(cell for cell in pool if cell not in set(dropped))
+    dropped_cells = set(dropped)
+    kept_cells = tuple(cell for cell in pool if cell not in dropped_cells)
     if not kept_cells:
         raise ValidationError("every task was dropped during feasibility repair")
     tasks = [Task(int(cell), pos_requirement) for cell in kept_cells]

@@ -1,6 +1,8 @@
 """Tests for the domain types (Task, UserType, instances)."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -12,6 +14,15 @@ from repro.core.types import (
     Task,
     UserType,
     single_task_view,
+)
+
+
+def _pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+CLONES = pytest.mark.parametrize(
+    "clone", [copy.deepcopy, _pickle_round_trip], ids=["deepcopy", "pickle"]
 )
 
 
@@ -97,6 +108,14 @@ class TestUserType:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    @CLONES
+    def test_copy_round_trip(self, clone):
+        user = UserType(1, cost=1.0, pos={0: 0.3})
+        copied = clone(user)
+        assert copied == user and copied is not user
+        with pytest.raises(TypeError):
+            copied.pos[0] = 0.9  # type: ignore[index]
+
 
 class TestAuctionInstance:
     def test_duplicate_task_ids_rejected(self):
@@ -137,6 +156,14 @@ class TestAuctionInstance:
         rebuilt = AuctionInstance(small_multi_task.tasks, small_multi_task.users)
         assert rebuilt == small_multi_task and hash(rebuilt) == hash(small_multi_task)
         assert rebuilt != small_multi_task.without_user(3)
+
+    @CLONES
+    def test_copy_round_trip(self, small_multi_task, clone):
+        copied = clone(small_multi_task)
+        assert copied == small_multi_task
+        # The user-id index points at the copied users, not the originals.
+        assert copied.user_by_id(3) == small_multi_task.user_by_id(3)
+        assert copied.user_by_id(3) is copied.users[2]
 
     def test_with_replaced_unknown_user_raises(self, small_multi_task):
         with pytest.raises(KeyError):

@@ -1,5 +1,7 @@
 """Tests for the synthetic taxi fleet (DESIGN.md substitution 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.errors import ValidationError
 from repro.mobility.grid import CityGrid
 from repro.mobility.records import EventType
 from repro.mobility.synthetic import FleetConfig, SyntheticTaxiFleet
+from repro.simulation.experiments import build_testbed
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +151,60 @@ class TestRecords:
         assert [(r.taxi_id, r.timestamp, r.lon) for r in a] == [
             (r.taxi_id, r.timestamp, r.lon) for r in b
         ]
+
+
+def records_digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        h.update(
+            f"{r.taxi_id},{float.hex(r.timestamp)},{float.hex(r.lon)},"
+            f"{float.hex(r.lat)},{r.event.value}\n".encode()
+        )
+    return h.hexdigest()
+
+
+def chains_digest(ground_truth) -> str:
+    h = hashlib.sha256()
+    for taxi_id in sorted(ground_truth):
+        chain = ground_truth[taxi_id]
+        h.update(f"{taxi_id}:{len(chain.support)}\n".encode())
+        h.update(np.asarray(chain.support, dtype=np.int64).tobytes())
+        h.update(chain.transition_matrix.tobytes())
+    return h.hexdigest()
+
+
+def dataset_digest(dataset) -> str:
+    h = hashlib.sha256()
+    for taxi_id in sorted(dataset.train):
+        cells = ",".join(str(int(c)) for c in dataset.train[taxi_id])
+        h.update(f"{taxi_id}:{cells}\n".encode())
+    for pair in dataset.held_out:
+        h.update(f"{pair.taxi_id},{pair.current_cell},{pair.next_cell}\n".encode())
+    return h.hexdigest()
+
+
+#: SHA-256 of records, chains and dataset of ``build_testbed(n_taxis=30,
+#: seed=42, kind=k)``.  Fleet synthesis must keep every float op and RNG
+#: draw in its order, so a faster synthesis has to leave these unchanged.
+SYNTHESIS_DIGESTS = {
+    "dense": (
+        "160179e5839229196dfe99c1f1570d0462cebfcd3be832f45d56cb5f973934e7",
+        "5d35347ec69ca1825093127362e03139990122777f26f22707cf54aaadb24653",
+        "ec6879cb81fac1fd4efa922bd6b6dee83aeb5b69a285212ce142a539333e8fa8",
+    ),
+    "citywide": (
+        "5b697fc04c03b7ab98f147b4b6f5546f471ce75f14e6790b18735b9fa5059f60",
+        "7cf1658c987557771f5d4d24b20c3d17b9a6cb11abde4849c40b5c67f4fef034",
+        "ab061aad5c3b885cd9c851c7f895e682f82f1f54011e8c122f94bc71adea2533",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYNTHESIS_DIGESTS))
+def test_fleet_synthesis_output_pinned(kind):
+    tb = build_testbed(n_taxis=30, seed=42, kind=kind)
+    assert (
+        records_digest(tb.fleet.generate_records()),
+        chains_digest(tb.fleet.ground_truth),
+        dataset_digest(tb.dataset),
+    ) == SYNTHESIS_DIGESTS[kind]

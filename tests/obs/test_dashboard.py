@@ -68,16 +68,6 @@ def test_golden_renders_workload_stage_split() -> None:
     assert "fit s" in html and "generate s" in html
 
 
-def test_golden_renders_dispatch_routes() -> None:
-    # The dispatch record renders one row per hand-off route plus the
-    # shm-vs-pickle headline.
-    html = (FIXTURE / "report.golden.html").read_text()
-    assert "demo_workload_dispatch" in html
-    for route in ("serial", "pickle", "shm"):
-        assert f"<td>{route}</td>" in html
-    assert "faster" in html
-
-
 def test_golden_flags_history_regression() -> None:
     # Fixture ledger: best speedup 12.0, latest 8.0 < 0.8 * 12.0 -> flagged.
     html = (FIXTURE / "report.golden.html").read_text()

@@ -114,13 +114,6 @@ class TestHeartbeat:
         (event,) = progress_events(tracer)
         assert "total" not in event and "eta_seconds" not in event
 
-    def test_console_callback_receives_formatted_line(self):
-        lines: list[str] = []
-        beat = Heartbeat("pricing", total=4, every_n=1, console=lines.append)
-        beat.update()
-        assert len(lines) == 1
-        assert "pricing" in lines[0] and "1/4" in lines[0]
-
     def test_none_tracer_is_a_no_op(self):
         beat = Heartbeat("quiet", total=2, every_n=1)
         beat.update()

@@ -2,11 +2,10 @@
 
 Drives the exact functions behind ``BENCH_workload.json`` at tiny sizes
 so every tier-1 run proves the harness end to end: synthetic traces
-build, both kernels fit and generate with the parity assert *inside* the
-sweep firing, the dispatch routes agree byte-for-byte, and the stream
-bench's per-chunk accounting adds up.  Speedup magnitudes are not
-asserted here — at smoke sizes fixed setup dominates; the ≥5x bar lives
-in the ``perf``-marked full-size test.
+build, and both kernels fit and generate with the parity assert *inside*
+the sweep firing.  Speedup magnitudes are not asserted here — at smoke
+sizes fixed setup dominates; the ≥5x bar lives in the ``perf``-marked
+full-size test.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from benchmarks.bench_workload import (
     chunk_to_sequences,
     make_trace_chunk,
     run_assembly_scaling,
-    run_dispatch_bench,
-    run_stream_bench,
     run_workload_sweep,
     write_workload_records,
 )
@@ -58,27 +55,6 @@ def test_assembly_scaling_smoke():
     assert record["ratio"] > 0.0
 
 
-def test_dispatch_bench_smoke():
-    record = run_dispatch_bench(n_users=4_000, workers=2, chunk_size=1_000, seed=5)
-    assert record["benchmark"] == "workload_dispatch"
-    # Byte-equality of serial/pickle/shm was asserted inside the bench.
-    assert record["serial_seconds"] > 0.0
-    assert record["pickle_seconds"] > 0.0
-    assert record["shm_seconds"] > 0.0
-    assert record["speedup"] > 0.0
-    assert record["bytes"] == 4_000 * 2 * 8
-
-
-def test_stream_bench_smoke():
-    record = run_stream_bench(n_taxis=600, chunk_taxis=200, n_tasks=5, seed=9)
-    assert record["benchmark"] == "workload_stream"
-    assert record["n_chunks"] == 3
-    assert 0 < record["n_users"] <= 300
-    assert record["users_per_second"] > 0.0
-    assert record["max_chunk_peak_mb"] > 0.0
-    assert record["peak_flatness"] >= 1.0
-
-
 def test_make_trace_chunk_is_deterministic_and_offset():
     a = make_trace_chunk(50, seed=3)
     b = make_trace_chunk(50, seed=3)
@@ -97,10 +73,10 @@ def test_write_workload_records_merges_by_benchmark(tmp_path):
     write_workload_records(
         [
             {"benchmark": "workload_sweep", "sweep": [{"n_taxis": 9}]},
-            {"benchmark": "workload_dispatch", "n_users": 7},
+            {"benchmark": "workload_assembly_scaling", "ratio": 7},
         ],
         path=path,
     )
     records = json.loads(path.read_text())["records"]
     assert records["workload_sweep"]["sweep"] == [{"n_taxis": 9}]  # overwritten
-    assert records["workload_dispatch"]["n_users"] == 7  # merged alongside
+    assert records["workload_assembly_scaling"]["ratio"] == 7  # merged alongside

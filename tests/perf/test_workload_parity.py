@@ -1,14 +1,14 @@
 """Bit-exact parity: vectorized vs reference workload kernels.
 
 The workload engine's vectorized paths (fleet fitting, reach profiles,
-instance assembly, streaming) are performance paths only — every
+instance assembly) are performance paths only — every
 observable must be *bit-identical* to the per-taxi reference loops: the
 same fitted counts, the same UserType bids (costs, PoS dicts), the same
 task pools, the same RepairReports, and the same ValidationError text
 when a drawn fleet is genuinely infeasible (too few pool-overlapping
 taxis, or every task dropped during repair).  The matrix here crosses
 single/multi instances × smoothing variants × repair strategies on
-hypothesis-drawn fleets, plus the streaming iterator.
+hypothesis-drawn fleets.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ValidationError
 from repro.mobility.markov import MarkovMobilityModel
-from repro.mobility.markov_kernel import SequenceChunk
 from repro.workload.config import table2_defaults
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.stream import stream_instances
 
 SMOOTHINGS = ("laplace", "paper", "mle")
 REPAIRS = ("boost", "drop", "none")
@@ -139,42 +137,3 @@ def test_fitted_models_identical(sequences, data):
         assert model_v.locations == model_r.locations
         assert (model_v.counts == model_r.counts).all()
 
-
-@settings(deadline=None, max_examples=8)
-@given(data=st.data())
-def test_stream_chunks_bit_identical(data):
-    seed = data.draw(st.integers(0, 10**6))
-    n_chunks = data.draw(st.integers(1, 4))
-    smoothing = data.draw(st.sampled_from(SMOOTHINGS))
-    rng = np.random.default_rng(seed)
-    chunks = []
-    next_taxi = 0
-    for _ in range(n_chunks):
-        sequences = {}
-        for _ in range(int(rng.integers(10, 40))):
-            length = int(rng.integers(1, 25))
-            walk = np.cumsum(rng.integers(-1, 2, size=length)) + int(
-                rng.integers(0, 25)
-            )
-            sequences[next_taxi] = [int(c) % 25 for c in walk]
-            next_taxi += 1
-        chunks.append(SequenceChunk.from_mapping(sequences))
-    streams = [
-        list(
-            stream_instances(
-                iter(chunks), n_tasks=6, seed=seed, smoothing=smoothing, kernel=kernel
-            )
-        )
-        for kernel in ("vectorized", "reference")
-    ]
-    vec_stream, ref_stream = streams
-    assert len(vec_stream) == len(ref_stream) == n_chunks
-    for chunk_v, chunk_r in zip(vec_stream, ref_stream):
-        assert chunk_v.chunk_index == chunk_r.chunk_index
-        assert chunk_v.first_user_id == chunk_r.first_user_id
-        assert chunk_v.task_cells == chunk_r.task_cells
-        assert chunk_v.skipped_taxis == chunk_r.skipped_taxis
-        assert chunk_v.taxi_of_user == chunk_r.taxi_of_user
-        assert list(map(_user_tuple, chunk_v.users)) == list(
-            map(_user_tuple, chunk_r.users)
-        )

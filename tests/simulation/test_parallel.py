@@ -13,7 +13,6 @@ metric comparison; everything else (counters, auction metrics, value
 histograms) is deterministic and compared exactly.
 """
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -88,9 +87,6 @@ class TestChunking:
         # no cell at all; 0 would silently fall back to the default.
         with pytest.raises(ValueError, match="chunk_size"):
             ExperimentRunner(workers=2, n_taxis=N_TAXIS, chunk_size=size)
-        with ExperimentRunner(workers=1) as runner:
-            with pytest.raises(ValueError, match="chunk_size"):
-                runner.map_workload({"x": np.zeros(4)}, sum, chunk_size=size)
 
 
 class TestGridWellFormedness:
