@@ -4,8 +4,8 @@ Measures the two pricing fast paths against their paper-literal references
 on instances sized per the acceptance targets:
 
 * **multi-task** — winners-heavy ``n=500, t=40``:
-  :class:`repro.perf.batch_pricer.BatchPricer` (shared-prefix replay over
-  compressed active-row arrays) vs a ``critical_contribution_multi`` loop.
+  :class:`repro.perf.batch_pricer.BatchPricer` (shared-prefix replay on
+  the CSR contribution matrix) vs a ``critical_contribution_multi`` loop.
   Target: ≥ 5× on reward determination.
 * **single-task** — ``n=100``:
   :class:`repro.perf.single_pricer.SingleTaskPricer` (memoized monotone
@@ -133,14 +133,10 @@ def run_multi_bench(
 
     def fast() -> tuple[dict[int, float], PerfCounters]:
         counters = PerfCounters()
-        # Stage the two phases the way the mechanism does, so the merged
-        # record carries non-empty stage_seconds evidence.
-        with counters.stage("winner_determination"):
-            pricer = BatchPricer(
-                instance, method=method, counters=counters, require_feasible=False
-            )
-        with counters.stage("reward_determination"):
-            return pricer.price_all(max_workers=max_workers), counters
+        pricer = BatchPricer(
+            instance, method=method, counters=counters, require_feasible=False
+        )
+        return pricer.price_all(max_workers=max_workers), counters
 
     def reference() -> dict[int, float]:
         return {
@@ -184,8 +180,7 @@ def run_single_bench(
     pricing all of them would make the benchmark needlessly slow without
     changing the per-winner ratio).
 
-    The fast timing includes a staged FPTAS winner determination (so the
-    record's ``stage_seconds`` mirrors the mechanism's two phases); the
+    The fast timing includes an FPTAS winner determination; the
     reference side's allocation is *not* counted, so the comparison is
     conservative.
     """
@@ -198,11 +193,9 @@ def run_single_bench(
 
     def fast() -> tuple[dict[int, float], PerfCounters]:
         counters = PerfCounters()
-        with counters.stage("winner_determination"):
-            fptas_min_knapsack(instance, epsilon, counters=counters)
-        with counters.stage("reward_determination"):
-            pricer = SingleTaskPricer(instance, epsilon=epsilon, counters=counters)
-            return pricer.price_all(winners), counters
+        fptas_min_knapsack(instance, epsilon, counters=counters)
+        pricer = SingleTaskPricer(instance, epsilon=epsilon, counters=counters)
+        return pricer.price_all(winners), counters
 
     def reference() -> dict[int, float]:
         return {
@@ -240,7 +233,7 @@ def run_w_sweep_point(
 
     Three configurations of :class:`BatchPricer` price every winner of the
     same sparse instance (the scaling benchmark's generator), method
-    ``"threshold"``, vectorized kernel:
+    ``"threshold"``:
 
     * ``baseline`` — ``gain_batch=1, early_exit=False``: the engine as it
       shipped before the batched levers (the 493-winner record this PR's

@@ -6,14 +6,15 @@ checks the growth is polynomial-ish (no blow-up), which is the property
 the paper's 'computational efficiency' claims care about in practice.
 
 The **kernel n-sweep** (``run_kernel_sweep_multi``) grows that one point
-into a scaling curve for the multi-task greedy, the one winner-determination
-loop with two kernels: it times the vectorized kernel against the dense
-reference at increasing ``n``, asserts exact trace parity wherever both
-run, records the vectorized path's peak memory (tracemalloc), and lands
-the per-``n`` records in ``BENCH_kernels.json`` at the repo root — so the
-curve, not a single size, is tracked per change.  The reference kernel is
-capped at ``reference_max_n`` (the dense rescan is O(n·t) *per iteration*
-and would dominate the benchmark's wall clock).  The whole 10⁵-user
+into a scaling curve for the multi-task greedy: it times the CSR greedy
+(``greedy_allocation``, recorded as ``vectorized``) against its dense
+oracle (``greedy_allocation_dense``, recorded as ``reference``) at
+increasing ``n``, asserts exact trace parity wherever both run, records
+the CSR path's peak memory (tracemalloc), and lands the per-``n`` records
+in ``BENCH_kernels.json`` at the repo root — so the curve, not a single
+size, is tracked per change.  The dense oracle is capped at
+``reference_max_n`` (its rescan is O(n·t) *per iteration* and would
+dominate the benchmark's wall clock).  The whole 10⁵-user
 auction is timed end to end, layer by layer, by ``e2ebench/``.
 
 Full-size runs are marked ``perf`` and excluded from tier-1; run them with
@@ -31,12 +32,14 @@ import numpy as np
 import pytest
 
 from repro.core.fptas import fptas_min_knapsack
-from repro.core.greedy import greedy_allocation
+from repro.core.greedy import greedy_allocation, greedy_allocation_dense
 from repro.core.transforms import contribution_to_pos
 from repro.core.types import AuctionInstance, Task, UserType
 from repro.simulation.experiments import ExperimentResult
 
-BENCH_KERNELS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+BENCH_KERNEL_SWEEP_PATH = (
+    Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+)
 
 
 def run_scalability(testbed, n_values=(25, 50, 100), repeats=2):
@@ -140,24 +143,23 @@ def run_kernel_sweep_multi(
     users_per_task: float = 3.0,
     measure_memory: bool = True,
 ) -> dict:
-    """Time multi-task winner determination per kernel across an n-sweep.
+    """Time multi-task winner determination, CSR greedy vs dense oracle,
+    across an n-sweep.
 
-    Per point: ``t = max(10, n // 100)``; the vectorized kernel always runs
-    (wall clock + tracemalloc peak), the reference kernel runs up to
+    Per point: ``t = max(10, n // 100)``; ``greedy_allocation`` always runs
+    (wall clock + tracemalloc peak), ``greedy_allocation_dense`` runs up to
     ``reference_max_n`` (its per-iteration O(n·t) rescan dominates beyond
-    that) with an **exact trace-equality assert** against the vectorized
-    run.  ``users_per_task=3.0`` sets requirements so a few hundred winners
-    are selected at the larger sizes — enough iterations to amortize the
-    vectorized kernel's fixed setup (CSR build + initial gains) against the
-    reference kernel's per-iteration O(n·t) rescan.
+    that) with an **exact trace-equality assert** against the CSR run.
+    ``users_per_task=3.0`` sets requirements so a few hundred winners are
+    selected at the larger sizes — enough iterations to amortize the CSR
+    greedy's fixed setup (CSR build + initial gains) against the dense
+    oracle's per-iteration O(n·t) rescan.
     """
     points = []
     for n in n_values:
         t = max(10, n // 100)
         instance = make_sparse_multi(n, t, seed=seed + n, users_per_task=users_per_task)
-        vec_seconds, vec_trace = _timed(
-            lambda: greedy_allocation(instance, kernel="vectorized")
-        )
+        vec_seconds, vec_trace = _timed(lambda: greedy_allocation(instance))
         point = {
             "n_users": n,
             "n_tasks": t,
@@ -166,13 +168,11 @@ def run_kernel_sweep_multi(
         }
         if measure_memory:
             point["vectorized_peak_mb"] = round(
-                _peak_mb(lambda: greedy_allocation(instance, kernel="vectorized")), 3
+                _peak_mb(lambda: greedy_allocation(instance)), 3
             )
         if n <= reference_max_n:
-            ref_seconds, ref_trace = _timed(
-                lambda: greedy_allocation(instance, kernel="reference")
-            )
-            assert vec_trace == ref_trace, f"kernel trace mismatch at n={n}"
+            ref_seconds, ref_trace = _timed(lambda: greedy_allocation_dense(instance))
+            assert vec_trace == ref_trace, f"dense oracle trace mismatch at n={n}"
             point["reference_seconds"] = round(ref_seconds, 6)
             point["speedup"] = round(ref_seconds / max(vec_seconds, 1e-12), 2)
         points.append(point)
@@ -184,7 +184,9 @@ def run_kernel_sweep_multi(
     }
 
 
-def write_kernel_records(records: list[dict], path: Path = BENCH_KERNELS_PATH) -> Path:
+def write_kernel_records(
+    records: list[dict], path: Path = BENCH_KERNEL_SWEEP_PATH
+) -> Path:
     """Merge sweep records into ``BENCH_kernels.json``, keyed by benchmark."""
     existing = {"records": {}}
     if path.exists():

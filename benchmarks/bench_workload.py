@@ -4,11 +4,13 @@ PR 6/8 made the auction itself cheap at n=100k; this bench tracks the
 other side of the pipeline — everything between raw traces and the
 auction instance:
 
-* **fit** — Markov fleet fitting (``MarkovMobilityModel.from_sequences``),
-  vectorized CSR counting vs the per-taxi reference loop;
+* **fit** — Markov fleet fitting: ``MarkovMobilityModel.from_sequences``
+  (array counting, recorded as ``vectorized``) vs its per-taxi oracle
+  ``from_sequences_reference`` (recorded as ``reference``);
 * **generate** — ``WorkloadGenerator.multi_task_instance`` end to end
-  (reach profiles, ranking, bundle assembly, feasibility repair), with an
-  exact instance-equality assert wherever both kernels run.
+  (reach profiles, ranking, bundle assembly, feasibility repair) vs its
+  per-taxi oracle ``multi_task_instance_reference``, with an exact
+  instance-equality assert wherever both run.
 
 Full-size runs are marked ``perf`` and write ``BENCH_workload.json`` at
 the repo root plus one ledger line per record
@@ -50,7 +52,6 @@ BENCH_WORKLOAD_PATH = Path(__file__).resolve().parent.parent / "BENCH_workload.j
 def make_trace_chunk(
     n_taxis: int,
     seed: int,
-    first_taxi_id: int = 0,
     n_cells: int = 40,
     seq_len: int = 24,
 ) -> SequenceChunk:
@@ -63,7 +64,7 @@ def make_trace_chunk(
     np.cumsum(steps, axis=1, out=steps)
     cells[:, 1:] = (start[:, None] + steps) % n_cells
     indptr = np.arange(n_taxis + 1, dtype=np.int64) * seq_len
-    taxi_ids = np.arange(first_taxi_id, first_taxi_id + n_taxis, dtype=np.int64)
+    taxi_ids = np.arange(n_taxis, dtype=np.int64)
     return SequenceChunk(taxi_ids=taxi_ids, cells=cells.reshape(-1), indptr=indptr)
 
 
@@ -119,15 +120,16 @@ def run_workload_sweep(
     n_tasks: int = 15,
     measure_memory: bool = True,
 ) -> dict:
-    """Time fleet fitting and instance generation per kernel across ``n``.
+    """Time fleet fitting and instance generation, array path vs per-taxi
+    oracle, across ``n``.
 
     Per point ``n`` taxis produce an ``n_users = n // 2`` multi-task
-    instance over ``n_tasks`` pool cells.  The vectorized kernel always
-    runs; the reference runs up to ``reference_max_n`` with a bit-exact
-    instance-equality assert.  ``fit_seconds`` covers
-    ``from_sequences``; ``generate_seconds`` covers generator
-    construction, the (lazy) profile build, and the instance — the full
-    trace-to-auction path after fitting.
+    instance over ``n_tasks`` pool cells.  The array path always runs; the
+    oracle runs up to ``reference_max_n`` with a bit-exact
+    instance-equality assert.  ``fit_seconds`` covers the fit;
+    ``generate_seconds`` covers generator construction, the (lazy) profile
+    build, and the instance — the full trace-to-auction path after
+    fitting.
     """
     points = []
     for n in n_values:
@@ -136,11 +138,11 @@ def run_workload_sweep(
         n_users = n // 2
 
         vec_fit_s, vec_model = _timed(
-            lambda: MarkovMobilityModel.from_sequences(sequences, kernel="vectorized")
+            lambda: MarkovMobilityModel.from_sequences(sequences)
         )
 
         def _vec_generate():
-            generator = WorkloadGenerator(vec_model, kernel="vectorized")
+            generator = WorkloadGenerator(vec_model)
             return generator.multi_task_instance(n_users, n_tasks, seed=seed)
 
         vec_gen_s, vec_instance = _timed(_vec_generate)
@@ -156,16 +158,18 @@ def run_workload_sweep(
             point["vectorized_peak_mb"] = round(_peak_mb(_vec_generate), 3)
         if n <= reference_max_n:
             ref_fit_s, ref_model = _timed(
-                lambda: MarkovMobilityModel.from_sequences(sequences, kernel="reference")
+                lambda: MarkovMobilityModel.from_sequences_reference(sequences)
             )
 
             def _ref_generate():
-                generator = WorkloadGenerator(ref_model, kernel="reference")
-                return generator.multi_task_instance(n_users, n_tasks, seed=seed)
+                generator = WorkloadGenerator(ref_model)
+                return generator.multi_task_instance_reference(
+                    n_users, n_tasks, seed=seed
+                )
 
             ref_gen_s, ref_instance = _timed(_ref_generate)
             assert _instances_equal(vec_instance, ref_instance), (
-                f"workload kernel mismatch at n={n}"
+                f"workload oracle mismatch at n={n}"
             )
             ref_total = ref_fit_s + ref_gen_s
             point["reference_fit_seconds"] = round(ref_fit_s, 6)
@@ -194,7 +198,9 @@ def run_assembly_scaling(
     seed: int = 99,
     repeats: int = 3,
 ) -> dict:
-    """Reference multi-task assembly cost when ``n`` and ``t`` grow together.
+    """Oracle multi-task assembly cost when ``n`` and ``t`` grow together.
+
+    Times ``multi_task_instance_reference``, the per-taxi loop.
 
     Before the hoisted-membership-set fix, assembly rebuilt
     ``set(kept_cells)`` / ``set(dropped)`` inside the per-user loop, an
@@ -206,14 +212,13 @@ def run_assembly_scaling(
 
     def _time_once(n_taxis: int, n_tasks: int) -> float:
         chunk = make_trace_chunk(n_taxis, seed=seed + n_taxis, n_cells=4 * n_tasks)
-        model = MarkovMobilityModel.from_sequences(
-            chunk_to_sequences(chunk), kernel="reference"
-        )
-        generator = WorkloadGenerator(model, kernel="reference")
+        sequences = chunk_to_sequences(chunk)
+        model = MarkovMobilityModel.from_sequences_reference(sequences)
+        generator = WorkloadGenerator(model)
         best = float("inf")
         for rep in range(repeats):
             elapsed, _ = _timed(
-                lambda: generator.multi_task_instance(
+                lambda: generator.multi_task_instance_reference(
                     n_taxis // 2, n_tasks, seed=seed + rep
                 )
             )

@@ -1,10 +1,10 @@
-"""Sparse per-task contribution matrix for the vectorized greedy kernel.
+"""Sparse per-task contribution matrix for the CSR greedy (Algorithm 4).
 
 Algorithm 4's hot quantity is the capped gain ``Σ_j min{q_i^j, Q̄_j}``.
-The dense reference kernel materialises an ``n × t`` matrix and rescans
-all of it every iteration; :class:`ContributionMatrix` stores only the
-``nnz`` declared (user, task) contributions in CSR form plus a CSC-style
-task→rows index, so the vectorized kernel can
+The dense oracle ``greedy_allocation_dense`` materialises an ``n × t``
+matrix and rescans all of it every iteration; :class:`ContributionMatrix`
+stores only the ``nnz`` declared (user, task) contributions in CSR form
+plus a CSC-style task→rows index, so the CSR greedy can
 
 * recompute gains for an arbitrary *subset* of rows (the ones whose gain
   could have changed), and
@@ -12,7 +12,7 @@ task→rows index, so the vectorized kernel can
   still-open task with the winner).
 
 **Float parity contract.**  :meth:`gains` must produce bit-identical
-values to the dense kernel's ``np.minimum(contrib[rows], residual).sum(
+values to the dense oracle's ``np.minimum(contrib[rows], residual).sum(
 axis=1)``.  numpy's pairwise summation tree depends only on the reduced
 axis length, so summing a *scattered* dense row of the same width ``t``
 (explicit zeros where the user declares nothing — ``min(0, Q̄_j) = 0``
@@ -67,13 +67,13 @@ def _flat_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class ContributionMatrix:
     """CSR contribution matrix with a task→rows index and gain scratch.
 
-    Rows follow the ascending-user-id order the greedy kernels use; columns
-    are task positions (``task_index`` order).  Values are the declared
+    Rows follow the ascending-user-id order both greedies use; columns are
+    task positions (``task_index`` order).  Values are the declared
     contributions ``q_i^j = −ln(1 − p_i^j)``, identical floats to the dense
-    kernel's matrix entries.
+    oracle's matrix entries.
 
     Args:
-        users: Users in ascending id order (the kernel's row order).
+        users: Users in ascending id order (the greedy's row order).
         task_index: Mapping task id → column position.
         n_tasks: Number of columns.
         scratch_cells: Cap on the scatter buffer (rows × ``n_tasks``).
@@ -105,7 +105,7 @@ class ContributionMatrix:
         # Single inlined pass: same floats as ``UserType.contribution`` —
         # the clamp mirrors ``pos_to_contribution`` (PoS is already
         # validated finite and in [0, 1] by UserType), and ``math.log1p``
-        # is the scalar transform both kernels must agree on bit-for-bit
+        # is the scalar transform both greedies must agree on bit-for-bit
         # (np.log1p can differ in the last ulp, so it is off-limits here).
         counts = np.empty(n, dtype=np.int64)
         cols_list: list[int] = []
@@ -203,7 +203,7 @@ class ContributionMatrix:
         buf[self.cols[start:stop]] = 0.0
 
     def row_gain(self, row: int, residual: np.ndarray) -> float:
-        """Capped gain of one row — the same float as the dense kernel's
+        """Capped gain of one row — the same float as the dense oracle's
         ``np.minimum(contrib[row], residual).sum()`` (full-width reduce)."""
         buf = self.dense_row(row)
         gain = float(np.minimum(buf, residual).sum())
@@ -215,7 +215,7 @@ class ContributionMatrix:
     # ------------------------------------------------------------------ #
 
     def gains(self, rows: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """Capped gains for ``rows``, bit-identical to the dense kernel's
+        """Capped gains for ``rows``, bit-identical to the dense oracle's
         ``np.minimum(contrib[rows], residual[None, :]).sum(axis=1)``.
 
         Rows are processed in chunks bounded by the scratch buffer, so the

@@ -152,7 +152,6 @@ def critical_contribution_multi(
     user_id: int,
     method: str = "threshold",
     tracer=None,
-    kernel: str | None = None,
 ) -> float:
     """Critical total contribution for a multi-task winner.
 
@@ -168,15 +167,17 @@ def critical_contribution_multi(
     ``tracer`` (duck-typed, default off) wraps the rerun in a
     ``counterfactual`` span and records an ``audit.counterfactual`` event
     (the reference path replays the full trace, so ``prefix_reused`` is 0).
-    ``kernel`` selects the greedy compute kernel for the rerun (``None``
-    defers to :func:`repro.core.kernels.resolve_kernel`).
+
+    This per-winner rerun is the pricing oracle of
+    :class:`repro.perf.batch_pricer.BatchPricer`, through which the
+    multi-task mechanism prices.
     """
     if method not in ("threshold", "paper"):
         raise ValueError(f"unknown critical-bid method {method!r}")
     user = instance.user_by_id(user_id)
     counterfactual = instance.without_user(user_id)
     with _span(tracer, "counterfactual", user_id=user_id):
-        trace = greedy_allocation(counterfactual, require_feasible=False, kernel=kernel)
+        trace = greedy_allocation(counterfactual, require_feasible=False)
         price = price_from_iterations(user, trace.iterations, trace.satisfied, method)
     _emit(
         tracer,

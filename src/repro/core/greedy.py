@@ -26,13 +26,13 @@ import numpy as np
 
 from .contrib_matrix import ContributionMatrix
 from .errors import InfeasibleInstanceError
-from .kernels import resolve_kernel
 from .types import AuctionInstance, UserType
 
 __all__ = [
     "GreedyIteration",
     "GreedyTrace",
     "greedy_allocation",
+    "greedy_allocation_dense",
     "greedy_allocation_reference",
     "capped_gain",
     "select_best_row",
@@ -143,58 +143,13 @@ class GreedyTrace:
         return sum(instance.user_by_id(uid).cost for uid in self.selected)
 
 
-def greedy_allocation(
-    instance: AuctionInstance,
-    require_feasible: bool = True,
-    counters=None,
-    tracer=None,
-    kernel: str | None = None,
+def greedy_allocation_dense(
+    instance: AuctionInstance, require_feasible: bool = True, counters=None, tracer=None
 ) -> GreedyTrace:
-    """Run Algorithm 4 on a multi-task instance.
-
-    Args:
-        instance: The auction instance (declared types).
-        require_feasible: When ``True`` (default) raise
-            :class:`InfeasibleInstanceError` if requirements cannot all be
-            met; when ``False`` return a trace with ``satisfied=False`` after
-            running until no user offers positive gain.  The reward scheme
-            uses the latter mode for counterfactual runs without a pivotal
-            user.
-        counters: Optional :class:`repro.perf.instrumentation.PerfCounters`
-            (duck-typed) accumulating ``greedy_iterations`` (and, on the
-            vectorized kernel, ``greedy_rows_recomputed``).
-        tracer: Optional :class:`repro.obs.tracing.Tracer` (duck-typed);
-            when set, every selection decision is recorded as a
-            ``greedy.select`` audit event (marginal contribution,
-            cost-effectiveness ratio, residual coverage).
-        kernel: ``"vectorized"`` (default via
-            :func:`repro.core.kernels.resolve_kernel`) runs on a sparse CSR
-            contribution matrix with incremental gain maintenance —
-            O(affected rows · t) per iteration instead of O(n·t);
-            ``"reference"`` keeps the dense full-rescan kernel.  Both emit
-            bit-identical traces: the incremental kernel recomputes a row's
-            gain through the same full-width reduction the dense kernel
-            uses, and rows it skips provably have unchanged inputs.
-
-    Returns:
-        The :class:`GreedyTrace` of the run.
-
-    :func:`greedy_allocation_reference` is the paper-literal pure-Python
-    version the tests cross-validate against.  All kernels apply the
-    identical selection rule (:func:`select_best_row`), so their traces
-    are byte-for-byte equal.
-    """
-    if resolve_kernel(kernel) == "vectorized":
-        return _greedy_vectorized(instance, require_feasible, counters, tracer)
-    return _greedy_dense(instance, require_feasible, counters, tracer)
-
-
-def _greedy_dense(
-    instance: AuctionInstance, require_feasible: bool, counters, tracer
-) -> GreedyTrace:
-    """The ``kernel="reference"`` body: dense matrix, full rescan per
-    iteration.  This was the default implementation before the vectorized
-    kernel landed and remains the parity oracle for it."""
+    """Algorithm 4 on a dense ``n × t`` matrix, rescanning every row per
+    iteration: the parity oracle of :func:`greedy_allocation`, with the
+    same arguments and a byte-for-byte equal trace.  No run path calls
+    it; the parity tests and the scaling benchmark's baseline do."""
     task_ids = [t.task_id for t in instance.tasks]
     task_index = {tid: k for k, tid in enumerate(task_ids)}
     users = sorted(instance.users, key=lambda u: u.user_id)
@@ -263,20 +218,49 @@ def _greedy_dense(
     )
 
 
-def _greedy_vectorized(
-    instance: AuctionInstance, require_feasible: bool, counters, tracer
+def greedy_allocation(
+    instance: AuctionInstance,
+    require_feasible: bool = True,
+    counters=None,
+    tracer=None,
 ) -> GreedyTrace:
-    """The ``kernel="vectorized"`` body: CSR matrix, incremental gains.
+    """Run Algorithm 4 on a multi-task instance.
 
-    After selecting a winner, only rows sharing a *still-open* task with
-    her can see a different capped gain — every other row's per-task
-    ``min(q_i^j, Q̄_j)`` terms are unchanged (its own residuals did not
-    move, and tasks it skips contribute an exact 0 at any residual).
-    Recomputing just those rows through the same full-width reduction the
-    dense kernel uses therefore reproduces the full rescan bit for bit at
-    O(affected rows · t) per iteration instead of O(n·t), with peak memory
-    bounded by the CSR arrays plus a fixed scratch block (no dense ``n×t``
-    allocation).
+    The greedy runs on a sparse CSR contribution matrix with incremental
+    gain maintenance.  After selecting a winner, only rows sharing a
+    *still-open* task with her can see a different capped gain — every
+    other row's per-task ``min(q_i^j, Q̄_j)`` terms are unchanged (its own
+    residuals did not move, and tasks it skips contribute an exact 0 at
+    any residual).  Recomputing just those rows through the same
+    full-width reduction a dense rescan uses therefore reproduces the full
+    rescan bit for bit at O(affected rows · t) per iteration instead of
+    O(n·t), with peak memory bounded by the CSR arrays plus a fixed
+    scratch block (no dense ``n×t`` allocation).
+
+    Args:
+        instance: The auction instance (declared types).
+        require_feasible: When ``True`` (default) raise
+            :class:`InfeasibleInstanceError` if requirements cannot all be
+            met; when ``False`` return a trace with ``satisfied=False`` after
+            running until no user offers positive gain.  The reward scheme
+            uses the latter mode for counterfactual runs without a pivotal
+            user.
+        counters: Optional :class:`repro.perf.instrumentation.PerfCounters`
+            (duck-typed) accumulating ``greedy_iterations`` and
+            ``greedy_rows_recomputed``.
+        tracer: Optional :class:`repro.obs.tracing.Tracer` (duck-typed);
+            when set, every selection decision is recorded as a
+            ``greedy.select`` audit event (marginal contribution,
+            cost-effectiveness ratio, residual coverage).
+
+    Returns:
+        The :class:`GreedyTrace` of the run.
+
+    :func:`greedy_allocation_dense` is the dense full-rescan oracle and
+    :func:`greedy_allocation_reference` the paper-literal pure-Python
+    version the tests cross-validate against.  The dense oracle applies
+    the identical selection rule (:func:`select_best_row`) to the same
+    floats, so the two traces are byte-for-byte equal.
     """
     task_ids = [t.task_id for t in instance.tasks]
     task_index = {tid: k for k, tid in enumerate(task_ids)}

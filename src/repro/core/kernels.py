@@ -1,35 +1,22 @@
-"""Kernel selection for the mechanism hot loops.
+"""Pricing fan-out, plus the retired kernel-name shims.
 
-The multi-task greedy — winner determination and the counterfactual
-replays of critical-payment pricing — ships two interchangeable compute
-kernels with bit-identical outputs:
+Every hot loop runs one path: the multi-task greedy on the sparse CSR
+contribution matrix (:mod:`repro.core.contrib_matrix`), the batch and
+memoized pricers of :mod:`repro.perf`, and the array workload engine of
+:mod:`repro.workload.engine`.  The paths they replaced stay as named
+oracles that no keyword reaches — :func:`repro.core.greedy.
+greedy_allocation_dense`, :func:`repro.core.critical.
+critical_contribution_multi` and the ``*_reference`` methods of the
+mobility and workload layers — and the parity suites compare each
+production call with its oracle.
 
-* ``"vectorized"`` (default) — the greedy runs on a sparse CSR
-  contribution matrix with incremental gain maintenance
-  (:mod:`repro.core.contrib_matrix`), sized for ``n = 10^5`` and beyond.
-* ``"reference"`` — the dense full-rescan greedy over an ``n × t``
-  matrix, kept as the parity oracle and for the scaling benchmark's
-  baseline.
-
-The single-task FPTAS takes no kernel: it always runs the dense
-cost-indexed row DP of :mod:`repro.core.fptas`.
-
-A call site's ``kernel=`` keyword is the only switch: ``None`` means
-:data:`DEFAULT_KERNEL`, and no process global or environment variable
-can change what a call computes.  The workload engine (Markov fitting,
-top-m prediction, instance generation) takes the same two names through
-its own ``kernel=`` keywords (:func:`resolve_workload_kernel`).  The
-property-test matrices in ``tests/perf/test_kernels_parity.py`` and
-``tests/perf/test_workload_parity.py`` assert bit-identical outputs
-across the two kernels.
-
-Pricing fan-out across winners is chosen the same way, by the
-``max_workers=`` keyword (:func:`resolve_price_workers`): a positive
-count, or ``"auto"`` / ``None`` for a cpu-count heuristic.  The resolved
-spec records whether the count came from the heuristic, because the
-batch pricer only auto-engages fan-out on auctions large enough to
-amortise thread startup, while an explicit count always fans out.
-Fan-out runs on threads: numpy releases the GIL on the wide reductions.
+Pricing fan-out across winners is chosen by the ``max_workers=``
+keyword (:func:`resolve_price_workers`): a positive count, or ``"auto"``
+/ ``None`` for a cpu-count heuristic.  The resolved spec records whether
+the count came from the heuristic, because the batch pricer only
+auto-engages fan-out on auctions large enough to amortise thread
+startup, while an explicit count always fans out.  Fan-out runs on
+threads: numpy releases the GIL on the wide reductions.
 """
 
 from __future__ import annotations
@@ -40,8 +27,6 @@ from typing import NamedTuple
 from .errors import ValidationError
 
 __all__ = [
-    "KERNELS",
-    "DEFAULT_KERNEL",
     "resolve_kernel",
     "resolve_workload_kernel",
     "PriceWorkers",
@@ -49,29 +34,22 @@ __all__ = [
     "resolve_price_backend",
 ]
 
-#: The recognised kernel names.
-KERNELS = ("vectorized", "reference")
-
-#: Used when a call site passes no ``kernel=``.
-DEFAULT_KERNEL = "vectorized"
-
 
 def resolve_kernel(kernel: str | None = None) -> str:
-    """The kernel a call site should use: ``kernel``, or
-    :data:`DEFAULT_KERNEL` for ``None``.  Raises :class:`ValidationError`
-    on an unrecognised name."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    if kernel not in KERNELS:
+    """Always ``"vectorized"``, the one kernel there is.  Raises
+    :class:`ValidationError` on any other name.
+
+    Nothing under ``src/`` calls it; it stays for the settings record of
+    the end-to-end benchmark and goes at the next change to the benchmark.
+    """
+    if kernel not in (None, "vectorized"):
         raise ValidationError(
-            f"unknown kernel argument {kernel!r}; expected one of {KERNELS}"
+            f"unknown kernel argument {kernel!r}; expected 'vectorized'"
         )
-    return kernel
+    return "vectorized"
 
 
-#: The workload engine's kernels carry the same names and default as the
-#: mechanism's; each side is still chosen by its own ``kernel=`` keyword,
-#: so a parity bisection can pin one side at a time.
+#: The workload engine's name for the same shim; it goes with it.
 resolve_workload_kernel = resolve_kernel
 
 
@@ -112,7 +90,11 @@ def resolve_price_workers(workers: int | str | None = None) -> PriceWorkers:
 
 def resolve_price_backend(backend: str | None = None) -> str:
     """The fan-out backend: always ``"thread"``, the only one there is.
-    Raises :class:`ValidationError` on any other name."""
+    Raises :class:`ValidationError` on any other name.
+
+    Nothing under ``src/`` calls it; it stays for the settings record of
+    the end-to-end benchmark and goes at the next change to the benchmark.
+    """
     if backend not in (None, "thread"):
         raise ValidationError(
             f"unknown price backend argument {backend!r}; expected 'thread'"

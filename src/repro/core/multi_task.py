@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .critical import critical_contribution_multi
 from .errors import ValidationError
 from .greedy import GreedyTrace, greedy_allocation
-from .kernels import resolve_kernel
 from .obshooks import emit as _emit
 from .obshooks import span as _span
 from .rewards import ECReward, ec_reward
@@ -48,8 +46,8 @@ class MultiTaskOutcome:
             declared profile, ``1 − Π_{i∈winners, j∈S_i}(1 − p_i^j)``.
         trace: The greedy run's full iteration record.
         perf: :class:`repro.perf.instrumentation.PerfCounters` for this run
-            (iteration/reuse counters, stage timings); excluded from
-            equality so fast and reference outcomes compare equal.
+            (iteration and reuse counters); excluded from equality so an
+            outcome compares equal to its oracle's.
     """
 
     winners: frozenset[int]
@@ -70,6 +68,13 @@ class MultiTaskOutcome:
 class MultiTaskMechanism:
     """Strategy-proof multi-task, single-minded reverse auction (Algs 4 + 5).
 
+    When rewards are computed, :class:`repro.perf.batch_pricer.BatchPricer`
+    runs winner determination and prices every winner by shared-prefix
+    counterfactual replay; its trace equals
+    :func:`repro.core.greedy.greedy_allocation`'s (which runs when rewards
+    are skipped) and its critical bids equal the per-winner reruns of
+    :func:`repro.core.critical.critical_contribution_multi`, bit for bit.
+
     Args:
         alpha: Reward scaling factor ``α`` (paper default 10).
         critical_method: How winners' critical bids are priced:
@@ -78,16 +83,6 @@ class MultiTaskMechanism:
             Algorithm 5 iteration-minimum, which can underprice critical
             bids when contribution capping binds (see
             :mod:`repro.core.critical`).
-        pricing: ``"fast"`` (default) prices all winners through
-            :class:`repro.perf.batch_pricer.BatchPricer` — shared-prefix
-            counterfactual replay, bit-identical critical bids;
-            ``"reference"`` keeps the literal per-winner
-            :func:`critical_contribution_multi` reruns.
-        kernel: Compute kernel for the greedy inner loops —
-            ``"vectorized"`` (CSR matrix, incremental gains) or
-            ``"reference"`` (dense full rescan), bit-identical outcomes;
-            ``None`` (default) defers to
-            :func:`repro.core.kernels.resolve_kernel` at construction time.
 
     Example:
         >>> from repro.core.types import AuctionInstance, Task, UserType
@@ -104,27 +99,17 @@ class MultiTaskMechanism:
         True
     """
 
-    def __init__(
-        self,
-        alpha: float = 10.0,
-        critical_method: str = "threshold",
-        pricing: str = "fast",
-        kernel: str | None = None,
-    ):
+    def __init__(self, alpha: float = 10.0, critical_method: str = "threshold"):
         if alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {alpha!r}")
         if critical_method not in ("threshold", "paper"):
             raise ValidationError(f"unknown critical_method {critical_method!r}")
-        if pricing not in ("fast", "reference"):
-            raise ValidationError(f"unknown pricing mode {pricing!r}")
         self.alpha = alpha
         self.critical_method = critical_method
-        self.pricing = pricing
-        self.kernel = resolve_kernel(kernel)
 
     def determine_winners(self, instance: AuctionInstance) -> GreedyTrace:
         """Run only the winner-determination stage (Algorithm 4)."""
-        return greedy_allocation(instance, kernel=self.kernel)
+        return greedy_allocation(instance)
 
     def run(
         self,
@@ -137,11 +122,10 @@ class MultiTaskMechanism:
 
         ``compute_rewards=False`` skips the per-winner counterfactual greedy
         reruns (Algorithm 5); social-cost experiments use it.
-        ``max_workers`` sets the fast path's pricing fan-out across winners
-        (an integer, ``"auto"``, or ``None`` to defer to
-        :func:`repro.core.kernels.resolve_price_workers`; ignored in
-        ``"reference"`` pricing).  Prices are bit-identical at any worker
-        count.  ``tracer`` (duck-typed
+        ``max_workers`` sets the pricing fan-out across winners (an
+        integer, ``"auto"``, or ``None`` to defer to
+        :func:`repro.core.kernels.resolve_price_workers`).  Prices are
+        bit-identical at any worker count.  ``tracer`` (duck-typed
         :class:`repro.obs.tracing.Tracer`, default off) records the span
         hierarchy and the auction audit trail: per-iteration selection
         decisions, per-counterfactual replays, and the final EC contracts.
@@ -157,51 +141,30 @@ class MultiTaskMechanism:
             mechanism="multi_task",
             n_users=instance.n_users,
             n_tasks=len(instance.tasks),
-            pricing=self.pricing,
             critical_method=self.critical_method,
-            kernel=self.kernel,
         ):
-            if self.pricing == "fast" and compute_rewards:
+            if compute_rewards:
                 from repro.perf.batch_pricer import BatchPricer
 
-                with counters.stage("winner_determination"), _span(
-                    tracer, "winner_determination", algorithm="greedy"
-                ):
+                with _span(tracer, "winner_determination", algorithm="greedy"):
                     pricer = BatchPricer(
                         instance,
                         method=self.critical_method,
                         counters=counters,
                         tracer=tracer,
-                        kernel=self.kernel,
                     )
                 trace = pricer.trace
-                with counters.stage("reward_determination"), _span(
+                with _span(
                     tracer, "reward_determination", n_winners=len(trace.selected)
                 ):
                     for uid, q_bar in pricer.price_all(max_workers=max_workers).items():
                         cost = instance.user_by_id(uid).cost
                         rewards[uid] = ec_reward(uid, q_bar, cost, self.alpha)
             else:
-                with counters.stage("winner_determination"), _span(
-                    tracer, "winner_determination", algorithm="greedy"
-                ):
+                with _span(tracer, "winner_determination", algorithm="greedy"):
                     trace = greedy_allocation(
-                        instance, counters=counters, tracer=tracer, kernel=self.kernel
+                        instance, counters=counters, tracer=tracer
                     )
-                if compute_rewards:
-                    with counters.stage("reward_determination"), _span(
-                        tracer, "reward_determination", n_winners=len(trace.selected)
-                    ):
-                        for uid in trace.selected:
-                            q_bar = critical_contribution_multi(
-                                instance,
-                                uid,
-                                method=self.critical_method,
-                                tracer=tracer,
-                                kernel=self.kernel,
-                            )
-                            cost = instance.user_by_id(uid).cost
-                            rewards[uid] = ec_reward(uid, q_bar, cost, self.alpha)
             for reward in rewards.values():
                 _emit(
                     tracer,
@@ -214,7 +177,7 @@ class MultiTaskMechanism:
                     success_reward=reward.success_reward,
                     failure_reward=reward.failure_reward,
                 )
-            _emit(tracer, "mechanism.perf", kernel=self.kernel, **counters.to_dict())
+            _emit(tracer, "mechanism.perf", **counters.to_dict())
 
         winners = trace.selected_set
         # One pass over the winners' bundles instead of scanning every user

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .critical import DEFAULT_TOLERANCE, critical_contribution_single
+from .critical import DEFAULT_TOLERANCE
 from .errors import ValidationError
 from .fptas import DEFAULT_EPSILON, FptasResult, fptas_min_knapsack
 from .obshooks import emit as _emit
@@ -43,8 +43,8 @@ class SingleTaskOutcome:
             ``1 − Π_{i∈winners}(1 − p_i)`` under the declared PoS profile.
         allocation: Raw FPTAS diagnostics.
         perf: :class:`repro.perf.instrumentation.PerfCounters` for this run
-            (DP/cache counters, stage timings); excluded from equality so
-            fast and reference outcomes compare equal.
+            (DP and cache counters); excluded from equality so an outcome
+            compares equal to its oracle's.
     """
 
     winners: frozenset[int]
@@ -66,11 +66,12 @@ class SingleTaskMechanism:
         alpha: Reward scaling factor ``α`` (paper default 10); trades off
             winners' utility against platform spend.
         tolerance: Absolute tolerance of the critical-bid binary search.
-        pricing: ``"fast"`` (default) prices winners through
-            :class:`repro.perf.single_pricer.SingleTaskPricer` — memoized
-            monotone FPTAS probes, bit-identical critical bids;
-            ``"reference"`` keeps the literal per-probe full FPTAS reruns of
-            :func:`critical_contribution_single`.
+
+    Winners are priced through
+    :class:`repro.perf.single_pricer.SingleTaskPricer` (memoized monotone
+    FPTAS probes), whose critical bids equal the per-probe full FPTAS
+    reruns of :func:`repro.core.critical.critical_contribution_single`
+    bit for bit.
 
     Example:
         >>> from repro.core.types import SingleTaskInstance
@@ -90,16 +91,12 @@ class SingleTaskMechanism:
         epsilon: float = DEFAULT_EPSILON,
         alpha: float = 10.0,
         tolerance: float = DEFAULT_TOLERANCE,
-        pricing: str = "fast",
     ):
         if alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {alpha!r}")
-        if pricing not in ("fast", "reference"):
-            raise ValidationError(f"unknown pricing mode {pricing!r}")
         self.epsilon = epsilon
         self.alpha = alpha
         self.tolerance = tolerance
-        self.pricing = pricing
 
     def determine_winners(self, instance: SingleTaskInstance) -> FptasResult:
         """Run only the winner-determination stage (Algorithm 2)."""
@@ -129,39 +126,24 @@ class SingleTaskMechanism:
             "mechanism.run",
             mechanism="single_task",
             n_users=instance.n_users,
-            pricing=self.pricing,
             epsilon=self.epsilon,
         ):
-            with counters.stage("winner_determination"), _span(
-                tracer, "winner_determination", algorithm="fptas"
-            ):
+            with _span(tracer, "winner_determination", algorithm="fptas"):
                 allocation = fptas_min_knapsack(instance, self.epsilon, counters=counters)
             if compute_rewards:
-                with counters.stage("reward_determination"), _span(
+                from repro.perf.single_pricer import SingleTaskPricer
+
+                with _span(
                     tracer, "reward_determination", n_winners=len(allocation.selected)
                 ):
-                    if self.pricing == "fast":
-                        from repro.perf.single_pricer import SingleTaskPricer
-
-                        pricer = SingleTaskPricer(
-                            instance,
-                            epsilon=self.epsilon,
-                            tolerance=self.tolerance,
-                            counters=counters,
-                            tracer=tracer,
-                        )
-                        criticals = pricer.price_all(allocation.selected)
-                    else:
-                        criticals = {
-                            uid: critical_contribution_single(
-                                instance,
-                                uid,
-                                epsilon=self.epsilon,
-                                tolerance=self.tolerance,
-                                tracer=tracer,
-                            )
-                            for uid in sorted(allocation.selected)
-                        }
+                    pricer = SingleTaskPricer(
+                        instance,
+                        epsilon=self.epsilon,
+                        tolerance=self.tolerance,
+                        counters=counters,
+                        tracer=tracer,
+                    )
+                    criticals = pricer.price_all(allocation.selected)
                     for uid, q_bar in criticals.items():
                         cost = instance.costs[instance.index_of(uid)]
                         rewards[uid] = ec_reward(uid, q_bar, cost, self.alpha)

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ValidationError
-from .transforms import pos_to_contribution
+from .transforms import MAX_CONTRIBUTION, pos_to_contribution
 
 __all__ = [
     "Task",
@@ -93,6 +93,14 @@ class UserType:
             )
         if not self.pos:
             raise ValidationError(f"user {self.user_id}: task set must be non-empty")
+        # Algorithm 4 ranks users by gain / cost, and a gain is at most
+        # len(pos) · MAX_CONTRIBUTION; a cost at which that bound overflows
+        # would rank at an infinite ratio whatever the gain.
+        if not math.isfinite(len(self.pos) * MAX_CONTRIBUTION / self.cost):
+            raise ValidationError(
+                f"user {self.user_id}: cost {self.cost!r} is so small that "
+                "contribution-cost ratios overflow"
+            )
         for task_id, p in self.pos.items():
             if not isinstance(task_id, int):
                 raise ValidationError(

@@ -31,7 +31,6 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from ..core.errors import ValidationError
-from ..core.kernels import resolve_workload_kernel
 from .markov_kernel import FleetCounts, SequenceChunk, fit_fleet
 
 __all__ = ["Smoothing", "TaxiModel", "MarkovMobilityModel"]
@@ -82,53 +81,25 @@ class MarkovMobilityModel:
         cls,
         sequences: Mapping[int, Sequence[int]],
         smoothing: Smoothing = "laplace",
-        kernel: str | None = None,
     ) -> "MarkovMobilityModel":
         model = cls(smoothing=smoothing)
-        model.fit(sequences, kernel=kernel)
+        model.fit(sequences)
         return model
 
-    # ------------------------------------------------------------------ #
-    # Fitting
-    # ------------------------------------------------------------------ #
-
-    def fit(
-        self, sequences: Mapping[int, Sequence[int]], kernel: str | None = None
+    @classmethod
+    def from_sequences_reference(
+        cls,
+        sequences: Mapping[int, Sequence[int]],
+        smoothing: Smoothing = "laplace",
     ) -> "MarkovMobilityModel":
-        """Fit one model per taxi from its time-ordered cell sequence.
+        """The per-taxi fit: the parity oracle of :meth:`from_sequences`.
 
-        Args:
-            sequences: ``taxi_id -> time-ordered cell sequence``.  Taxis
-                with fewer than two observations are skipped.
-            kernel: ``"vectorized"`` counts the whole fleet in one array
-                pass (:func:`repro.mobility.markov_kernel.fit_fleet`);
-                ``"reference"`` keeps the original per-taxi loop.  ``None``
-                resolves through :func:`repro.core.kernels.
-                resolve_workload_kernel`.  Both produce identical models —
-                counts are integers, so parity is exact.
+        One Python loop per taxi instead of one array pass over the fleet;
+        counts are integers, so the two models are identical.  No run path
+        calls it; the parity tests and the workload benchmark's baseline
+        do.
         """
-        self._models = {}
-        self._fleet_cache = None
-        if resolve_workload_kernel(kernel) == "vectorized":
-            fleet = fit_fleet(SequenceChunk.from_mapping(sequences))
-            # The fitted arrays ARE the fleet-counts structure — cache them
-            # (row-sorted) so fleet_counts() never re-packs 10^5 TaxiModels.
-            self._fleet_cache = fleet.sorted_by_taxi()
-            cells_list = fleet.loc_cells.tolist()
-            loc_ptr = fleet.loc_indptr.tolist()
-            sq_ptr = fleet.sq_indptr.tolist()
-            counts_flat = fleet.counts_flat
-            for row, taxi_id in enumerate(fleet.taxi_ids.tolist()):
-                a, b = loc_ptr[row], loc_ptr[row + 1]
-                l = b - a
-                self._models[taxi_id] = TaxiModel(
-                    taxi_id=taxi_id,
-                    locations=tuple(cells_list[a:b]),
-                    counts=counts_flat[sq_ptr[row] : sq_ptr[row + 1]]
-                    .reshape(l, l)
-                    .copy(),
-                )
-            return self
+        model = cls(smoothing=smoothing)
         for taxi_id, sequence in sequences.items():
             if len(sequence) < 2:
                 continue  # nothing to learn from a single observation
@@ -137,8 +108,43 @@ class MarkovMobilityModel:
             counts = np.zeros((len(locations), len(locations)))
             for current, following in zip(sequence, sequence[1:]):
                 counts[index[current], index[following]] += 1.0
-            self._models[taxi_id] = TaxiModel(
+            model._models[taxi_id] = TaxiModel(
                 taxi_id=taxi_id, locations=locations, counts=counts
+            )
+        return model
+
+    # ------------------------------------------------------------------ #
+    # Fitting
+    # ------------------------------------------------------------------ #
+
+    def fit(self, sequences: Mapping[int, Sequence[int]]) -> "MarkovMobilityModel":
+        """Fit one model per taxi from its time-ordered cell sequence.
+
+        The whole fleet is counted in one array pass
+        (:func:`repro.mobility.markov_kernel.fit_fleet`).
+
+        Args:
+            sequences: ``taxi_id -> time-ordered cell sequence``.  Taxis
+                with fewer than two observations are skipped.
+        """
+        self._models = {}
+        fleet = fit_fleet(SequenceChunk.from_mapping(sequences))
+        # The fitted arrays ARE the fleet-counts structure — cache them
+        # (row-sorted) so fleet_counts() never re-packs 10^5 TaxiModels.
+        self._fleet_cache = fleet.sorted_by_taxi()
+        cells_list = fleet.loc_cells.tolist()
+        loc_ptr = fleet.loc_indptr.tolist()
+        sq_ptr = fleet.sq_indptr.tolist()
+        counts_flat = fleet.counts_flat
+        for row, taxi_id in enumerate(fleet.taxi_ids.tolist()):
+            a, b = loc_ptr[row], loc_ptr[row + 1]
+            l = b - a
+            self._models[taxi_id] = TaxiModel(
+                taxi_id=taxi_id,
+                locations=tuple(cells_list[a:b]),
+                counts=counts_flat[sq_ptr[row] : sq_ptr[row + 1]]
+                .reshape(l, l)
+                .copy(),
             )
         return self
 

@@ -15,61 +15,64 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.errors import ValidationError
-from ..core.kernels import resolve_workload_kernel
 from .dataset import TransitionPair
 from .markov import MarkovMobilityModel
 from .markov_kernel import topm_hit_ranks
 
-__all__ = ["prediction_accuracy", "predicted_pos_samples"]
+__all__ = [
+    "prediction_accuracy",
+    "prediction_accuracy_reference",
+    "predicted_pos_samples",
+]
 
 
 def prediction_accuracy(
     model: MarkovMobilityModel,
     held_out: Sequence[TransitionPair],
     m_values: Sequence[int] = tuple(range(3, 16)),
-    kernel: str | None = None,
 ) -> dict[int, float]:
     """Top-``m`` next-location accuracy over held-out transitions.
+
+    Every pair's true next cell is ranked in one batched pass
+    (:func:`repro.mobility.markov_kernel.topm_hit_ranks`): the rank counts
+    strictly-larger-probability cells plus equal-probability cells with
+    smaller ids — the ``(-p, cell)`` sort order of
+    :meth:`MarkovMobilityModel.predict_top` — on bit-identical rows, so the
+    result equals :func:`prediction_accuracy_reference` exactly.
 
     Args:
         model: A fitted mobility model.
         held_out: Ground-truth (current, next) pairs from the test split.
         m_values: The prediction-set sizes to evaluate (paper: 3..15).
-        kernel: ``"vectorized"`` ranks every pair's true next cell in one
-            batched pass (:func:`repro.mobility.markov_kernel.
-            topm_hit_ranks`); ``"reference"`` calls ``predict_top`` per
-            pair.  ``None`` resolves through :func:`repro.core.kernels.
-            resolve_workload_kernel`.  Identical results: the vectorized
-            rank counts strictly-larger-probability cells plus
-            equal-probability cells with smaller ids — the reference's
-            ``(-p, cell)`` sort order — on bit-identical rows.
 
     Returns:
         Map ``m -> fraction of pairs whose next cell is in the top-m set``.
         Pairs for taxis without a fitted model are skipped.
     """
-    if not held_out:
-        raise ValidationError("held_out must be non-empty")
-    fitted = set(model.taxi_ids)
-    usable = [p for p in held_out if p.taxi_id in fitted]
-    if not usable:
-        raise ValidationError("no held-out pair matches a fitted taxi model")
-    for m in m_values:
-        if m <= 0:
-            raise ValidationError(f"m must be positive, got {m!r}")
-    if resolve_workload_kernel(kernel) == "vectorized":
-        counts = model.fleet_counts()
-        rows = np.searchsorted(
-            counts.taxi_ids, np.asarray([p.taxi_id for p in usable], dtype=np.int64)
-        )
-        ranks = topm_hit_ranks(
-            counts,
-            model.smoothing,
-            rows,
-            np.asarray([p.current_cell for p in usable], dtype=np.int64),
-            np.asarray([p.next_cell for p in usable], dtype=np.int64),
-        )
-        return {m: int((ranks < m).sum()) / len(usable) for m in m_values}
+    usable = _usable_pairs(model, held_out, m_values)
+    counts = model.fleet_counts()
+    rows = np.searchsorted(
+        counts.taxi_ids, np.asarray([p.taxi_id for p in usable], dtype=np.int64)
+    )
+    ranks = topm_hit_ranks(
+        counts,
+        model.smoothing,
+        rows,
+        np.asarray([p.current_cell for p in usable], dtype=np.int64),
+        np.asarray([p.next_cell for p in usable], dtype=np.int64),
+    )
+    return {m: int((ranks < m).sum()) / len(usable) for m in m_values}
+
+
+def prediction_accuracy_reference(
+    model: MarkovMobilityModel,
+    held_out: Sequence[TransitionPair],
+    m_values: Sequence[int] = tuple(range(3, 16)),
+) -> dict[int, float]:
+    """The per-pair ``predict_top`` loop: the parity oracle of
+    :func:`prediction_accuracy`, with the same arguments and result.  No
+    run path calls it; the parity tests do."""
+    usable = _usable_pairs(model, held_out, m_values)
     accuracy: dict[int, float] = {}
     max_m = max(m_values)
     # Rank once per pair at the largest m; smaller m are prefixes.
@@ -81,6 +84,24 @@ def prediction_accuracy(
         hits = sum(1 for pair, top in ranked if pair.next_cell in top[:m])
         accuracy[m] = hits / len(usable)
     return accuracy
+
+
+def _usable_pairs(
+    model: MarkovMobilityModel,
+    held_out: Sequence[TransitionPair],
+    m_values: Sequence[int],
+) -> list[TransitionPair]:
+    """The held-out pairs of fitted taxis, after validating the inputs."""
+    if not held_out:
+        raise ValidationError("held_out must be non-empty")
+    fitted = set(model.taxi_ids)
+    usable = [p for p in held_out if p.taxi_id in fitted]
+    if not usable:
+        raise ValidationError("no held-out pair matches a fitted taxi model")
+    for m in m_values:
+        if m <= 0:
+            raise ValidationError(f"m must be positive, got {m!r}")
+    return usable
 
 
 def predicted_pos_samples(

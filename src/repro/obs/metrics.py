@@ -4,8 +4,7 @@ One :class:`MetricsRegistry` absorbs every producer in the repo:
 
 * :meth:`MetricsRegistry.absorb_perf` folds a
   :class:`repro.perf.instrumentation.PerfCounters` snapshot in — the
-  pricing-engine counters become ``perf.*`` counters and its stage timers
-  become ``stage.*`` histograms;
+  pricing-engine counters become ``perf.*`` counters;
 * :meth:`MetricsRegistry.observe_outcome` records mechanism-level metrics
   from a cleared auction (winner count, platform/social cost, per-task
   achieved PoS, payment spread across the EC contracts);
@@ -146,15 +145,13 @@ class MetricsRegistry:
     def absorb_perf(self, perf: Any, prefix: str = "perf") -> None:
         """Fold a ``PerfCounters`` (or its ``to_dict()``) into the registry.
 
-        Integer counters land as ``<prefix>.<field>`` counters; each stage
-        timer contributes one observation to a ``stage.<name>`` histogram.
+        Integer counters land as ``<prefix>.<field>`` counters.  A
+        dict-valued field, such as the stage timers of older snapshots, is
+        skipped: stage time comes from tracer spans.
         """
         snapshot = perf if isinstance(perf, dict) else perf.to_dict()
         for key, value in snapshot.items():
-            if key == "stage_seconds":
-                for stage, seconds in value.items():
-                    self.histogram(f"stage.{stage}").observe(seconds)
-            else:
+            if not isinstance(value, dict):
                 self.counter(f"{prefix}.{key}").inc(value)
 
     def observe_outcome(self, outcome: Any) -> None:

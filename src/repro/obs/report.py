@@ -106,18 +106,16 @@ def build_report(
             report.stage_seconds[name] = report.stage_seconds.get(name, 0.0) + rec["seconds"]
             report.stage_counts[name] = report.stage_counts.get(name, 0) + 1
         elif kind == "event" and rec.get("name") == EVENT_MECHANISM_PERF:
+            # Counters sum and labels (older runs name their kernel)
+            # collect distinct values; any other value, such as the
+            # stage-timer dict of older runs, is skipped, because stage
+            # time comes from spans.
             for key, value in rec.items():
                 if key in ("type", "name", "span_id"):
                     continue
-                if key == "stage_seconds" and isinstance(value, dict):
-                    for stage, seconds in value.items():
-                        stage_key = f"stage.{stage}"
-                        perf[stage_key] = perf.get(stage_key, 0.0) + seconds
-                elif isinstance(value, (int, float)):
+                if isinstance(value, (int, float)):
                     perf[key] = perf.get(key, 0.0) + value
                 elif isinstance(value, str):
-                    # Label fields (e.g. which kernel produced the run):
-                    # collect distinct values instead of summing.
                     seen = report.perf_labels.setdefault(key, [])
                     if value not in seen:
                         seen.append(value)

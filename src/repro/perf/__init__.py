@@ -1,16 +1,19 @@
 """Performance layer: batch counterfactual pricing + instrumentation.
 
-This package speeds up the *reward determination* stage of both mechanisms
-without changing a single output bit:
+This package is the *reward determination* stage of both mechanisms — the
+only pricing path they run — and changes no output bit against the
+paper-literal pricing oracles of :mod:`repro.core.critical`:
 
 * :class:`BatchPricer` — multi-task critical bids via shared-prefix greedy
   replay (Algorithm 5 without the per-winner instance copies and full
-  reruns).
+  reruns); its oracle is
+  :func:`~repro.core.critical.critical_contribution_multi`.
 * :class:`SingleTaskPricer` / :func:`critical_contribution_single_fast` —
   single-task critical bids via memoized monotone FPTAS probes (static
-  subproblem cache, shared-prefix DP snapshots, Lemma-1 verdict memo).
-* :class:`PerfCounters` — counters and stage timers proving where the
-  savings come from; surfaced on mechanism outcomes and dumped to
+  subproblem cache, shared-prefix DP snapshots, Lemma-1 verdict memo);
+  its oracle is :func:`~repro.core.critical.critical_contribution_single`.
+* :class:`PerfCounters` — work counters proving where the savings come
+  from; surfaced on mechanism outcomes and dumped to
   ``BENCH_pricing.json`` by ``benchmarks/bench_pricing.py``.
 
 The dependency is strictly one-way: :mod:`repro.core` never imports

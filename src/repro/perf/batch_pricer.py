@@ -113,7 +113,7 @@ from repro.core.greedy import (
     positive_residual_snapshot,
     select_best_row,
 )
-from repro.core.kernels import resolve_kernel, resolve_price_workers
+from repro.core.kernels import resolve_price_workers
 from repro.core.obshooks import emit as _emit
 from repro.core.obshooks import span as _span
 from repro.core.types import AuctionInstance
@@ -194,22 +194,14 @@ class BatchPricer:
             resulting critical bid).  Replay-internal iterations are *not*
             traced per-decision — they are summarised by the event — so
             audit mode stays usable at benchmark sizes.
-        kernel: ``"vectorized"`` runs the master greedy on the CSR
-            contribution matrix with incremental gain maintenance, keeps
-            only O(t) residual snapshots per iteration (no per-iteration
-            row/ratio copies), and seeds replays from a bounded set of
-            checkpointed ratio-bound heaps; ``"reference"`` keeps the
-            dense matrix and snapshot
-            layout.  Traces and prices are bit-identical either way;
-            ``None`` defers to :func:`repro.core.kernels.resolve_kernel`.
         early_exit: Enable the proven replay-termination criterion (see
             the module docstring).  ``None`` (default) enables it exactly
-            when it is sound: ``method="threshold"`` on the vectorized
-            kernel.  Passing ``True`` with ``method="paper"`` raises
-            :class:`ValidationError` — the paper method mins over *all*
-            iterations, so truncating the replay changes its price (and
-            the ``required_gain <= 1e-15`` pricing corner is reachable
-            post-coverage); there is no sound exit to enable.
+            when it is sound: ``method="threshold"``.  Passing ``True``
+            with ``method="paper"`` raises :class:`ValidationError` — the
+            paper method mins over *all* iterations, so truncating the
+            replay changes its price (and the ``required_gain <= 1e-15``
+            pricing corner is reachable post-coverage); there is no sound
+            exit to enable.
         gain_batch: How many stale heap entries a replay refreshes per
             batched :meth:`ContributionMatrix.gains` call; ``1`` restores
             the PR 6 per-pop scalar recompute (ablation baseline).
@@ -223,7 +215,6 @@ class BatchPricer:
         counters: PerfCounters | None = None,
         require_feasible: bool = True,
         tracer=None,
-        kernel: str | None = None,
         early_exit: bool | None = None,
         gain_batch: int = DEFAULT_GAIN_BATCH,
     ):
@@ -243,7 +234,6 @@ class BatchPricer:
         self.gain_batch = int(gain_batch)
         self.counters = counters if counters is not None else PerfCounters()
         self.tracer = tracer
-        self.kernel = resolve_kernel(kernel)
 
         # Shared arrays, built once — mirrors greedy_allocation's layout.
         self._task_ids = [t.task_id for t in instance.tasks]
@@ -251,13 +241,7 @@ class BatchPricer:
         self._task_index = task_index
         users = sorted(instance.users, key=lambda u: u.user_id)
         n = len(users)
-        if self.kernel == "vectorized":
-            self._matrix = ContributionMatrix(users, task_index, len(self._task_ids))
-        else:
-            self._contrib = np.zeros((n, len(self._task_ids)))
-            for row, user in enumerate(users):
-                for tid in user.pos:
-                    self._contrib[row, task_index[tid]] = user.contribution(tid)
+        self._matrix = ContributionMatrix(users, task_index, len(self._task_ids))
         self._costs = np.array([u.cost for u in users])
         # Conservative bound for the early-exit cost floor: every
         # counterfactual iteration's winner cost is ≤ this.
@@ -268,94 +252,21 @@ class BatchPricer:
             [t.contribution_requirement for t in instance.tasks]
         )
 
-        if self.kernel == "vectorized":
-            self._run_master_vectorized(require_feasible)
-        else:
-            self._run_master(require_feasible)
+        self._run_greedy(require_feasible)
 
     # ------------------------------------------------------------------ #
     # Master run (Algorithm 4) with per-iteration snapshots
     # ------------------------------------------------------------------ #
 
-    def _run_master(self, require_feasible: bool) -> None:
-        n = len(self._uids)
-        residual = self._initial_residual.copy()
-        # Active rows as a compressed ascending index array instead of a
-        # boolean mask: per-iteration work shrinks with each selection
-        # (O((n−m)·t) instead of O(n·t)), while every per-row reduction is
-        # computed on the same values in the same order, so gains/ratios —
-        # and hence the trace — stay bit-identical to greedy_allocation.
-        rows = np.arange(n)
-        selected_rows: list[int] = []
-        iterations: list[GreedyIteration] = []
-        snapshots: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        while (residual > _EPS).any():
-            gains = np.minimum(self._contrib[rows], residual[None, :]).sum(axis=1)
-            ratios = gains / self._costs[rows]
-            self.counters.greedy_iterations += 1
-            local = select_best_row(gains, ratios)
-            if local < 0:
-                if require_feasible:
-                    uncovered = frozenset(
-                        tid
-                        for k, tid in enumerate(self._task_ids)
-                        if residual[k] > _EPS
-                    )
-                    raise InfeasibleInstanceError(
-                        f"tasks {sorted(uncovered)} cannot reach their requirements",
-                        uncoverable_tasks=uncovered,
-                    )
-                break
-            best_row = int(rows[local])
-            # The snapshot keeps the exact ratios too: they seed the lazy
-            # replay's upper-bound heap without any recomputation.
-            snapshots.append((residual.copy(), rows, ratios))
-            snapshot = positive_residual_snapshot(residual, self._task_ids)
-            iterations.append(
-                GreedyIteration(
-                    user_id=self._uids[best_row],
-                    residual_before=snapshot,
-                    gain=float(gains[local]),
-                    ratio=float(ratios[local]),
-                    cost=float(self._costs[best_row]),
-                )
-            )
-            if self.tracer is not None:
-                self.tracer.event(
-                    "greedy.select",
-                    user_id=self._uids[best_row],
-                    iteration=len(selected_rows),
-                    gain=float(gains[local]),
-                    ratio=float(ratios[local]),
-                    cost=float(self._costs[best_row]),
-                    residual_open=len(snapshot),
-                    residual_total=float(sum(snapshot.values())),
-                )
-            selected_rows.append(best_row)
-            rows = np.delete(rows, local)
-            residual = np.maximum(0.0, residual - self._contrib[best_row])
-
-        self._selected_rows = selected_rows
-        self._position = {self._uids[row]: m for m, row in enumerate(selected_rows)}
-        self._snapshots = snapshots
-        self.trace = GreedyTrace(
-            selected=tuple(self._uids[row] for row in selected_rows),
-            iterations=tuple(iterations),
-            residual_after={
-                tid: float(residual[k]) for k, tid in enumerate(self._task_ids)
-            },
-            satisfied=bool((residual <= _EPS).all()),
-        )
-
-    def _run_master_vectorized(self, require_feasible: bool) -> None:
-        """The ``kernel="vectorized"`` master: incremental CSR greedy.
+    def _run_greedy(self, require_feasible: bool) -> None:
+        """The master run: Algorithm 4 as the incremental CSR greedy of
+        :func:`repro.core.greedy.greedy_allocation`, with snapshots.
 
         Gains live in full-length arrays with selected rows zeroed (a zero
         gain is below the ``select_best_row`` eligibility floor, so it can
         never be re-picked); after each selection only the rows sharing a
         still-open task with the winner are recomputed, through the same
-        full-width reduction the dense master uses — bit-identical trace.
+        full-width reduction a dense rescan uses — bit-identical trace.
         Snapshots keep only the O(t) residual vector per iteration; replays
         seed their upper bounds from the checkpointed ratio heaps below,
         which stay valid at any later iteration because capped gains only
@@ -475,7 +386,7 @@ class BatchPricer:
     # Counterfactual replay
     # ------------------------------------------------------------------ #
 
-    def _replay_without(
+    def _replay(
         self,
         start: int,
         excluded_row: int,
@@ -493,121 +404,13 @@ class BatchPricer:
         whose fresh gain drops to ``≤ ε`` can never become eligible again
         and leaves the heap for good.
 
-        ``breakdown`` (audit mode only — ``price`` passes it when a tracer
-        is attached) accumulates per-section seconds: ``gain_recompute``
-        vs ``heap_maintenance`` vs ``residual_update``.
-        """
-        clock = time.perf_counter if breakdown is not None else None
-        snap_residual, snap_rows, snap_ratios = self._snapshots[start]
-        residual = snap_residual.copy()
-        contrib = self._contrib
-        costs = self._costs
-        alive = np.zeros(len(self._uids), dtype=bool)
-        alive[snap_rows] = True
-        alive[excluded_row] = False
-        # Seed with the master run's exact ratios at this iteration.
-        heap = [
-            (-ratio, int(row))
-            for ratio, row in zip(snap_ratios, snap_rows)
-            if row != excluded_row
-        ]
-        heapq.heapify(heap)
-        # stamp[row] == current iteration marks a bound as freshly computed;
-        # fresh_gain[row] then holds the matching gain.
-        stamp = np.zeros(len(self._uids), dtype=np.int64)
-        fresh_gain = np.empty(len(self._uids))
-        iterations: list[GreedyIteration] = []
-        executed = 0
-        fallback = object()
-
-        while residual.max() > _EPS:
-            executed += 1
-            sel: object = None
-            loop_start = clock() if clock else 0.0
-            gain_seconds = 0.0
-            while heap:
-                neg_bound, row = heapq.heappop(heap)
-                if not alive[row]:
-                    continue
-                if stamp[row] == executed:
-                    gain, ratio = fresh_gain[row], -neg_bound
-                else:
-                    t0 = clock() if clock else 0.0
-                    gain = np.minimum(contrib[row], residual).sum()
-                    if clock:
-                        gain_seconds += clock() - t0
-                    if gain <= _EPS:
-                        continue  # gains only shrink: permanently ineligible
-                    ratio = gain / costs[row]
-                    stamp[row] = executed
-                    fresh_gain[row] = gain
-                next_bound = -heap[0][0] if heap else -np.inf
-                if ratio > next_bound + _EPS:
-                    sel = (row, gain, ratio)
-                    break
-                if ratio >= next_bound:
-                    # Fresh top within ε of the next bound: possible ε-tie.
-                    heapq.heappush(heap, (-ratio, row))
-                    sel = fallback
-                    break
-                heapq.heappush(heap, (-ratio, row))  # tightened bound
-            if clock:
-                # Everything in the pop/push loop that wasn't a fresh gain
-                # computation is heap maintenance.
-                breakdown["gain_recompute"] += gain_seconds
-                breakdown["heap_maintenance"] += clock() - loop_start - gain_seconds
-            if sel is fallback:
-                # Reference scan over all live rows (ascending user id).
-                t0 = clock() if clock else 0.0
-                live = np.flatnonzero(alive)
-                gains = np.minimum(contrib[live], residual[None, :]).sum(axis=1)
-                ratios = gains / costs[live]
-                local = select_best_row(gains, ratios)
-                if clock:
-                    breakdown["gain_recompute"] += clock() - t0
-                if local < 0:
-                    break
-                sel = (int(live[local]), gains[local], ratios[local])
-            elif sel is None:
-                break  # heap exhausted: no row offers positive gain
-            row, gain, ratio = sel
-            iterations.append(
-                GreedyIteration(
-                    user_id=self._uids[row],
-                    residual_before=_ResidualView(residual.copy(), self._task_index),
-                    gain=float(gain),
-                    ratio=float(ratio),
-                    cost=float(costs[row]),
-                )
-            )
-            alive[row] = False
-            t0 = clock() if clock else 0.0
-            np.subtract(residual, contrib[row], out=residual)
-            np.maximum(residual, 0.0, out=residual)
-            if clock:
-                breakdown["residual_update"] += clock() - t0
-
-        counters.greedy_iterations += executed
-        return tuple(iterations), bool((residual <= _EPS).all())
-
-    def _replay_without_vectorized(
-        self,
-        start: int,
-        excluded_row: int,
-        counters: PerfCounters,
-        breakdown: dict[str, float] | None = None,
-    ) -> tuple[tuple[GreedyIteration, ...], bool]:
-        """Vectorized replay: same lazy-greedy loop on the CSR matrix.
-
         The heap is seeded from the latest *checkpointed* master ratios at
-        or before ``start`` rather than the snapshot-time ones (the
-        vectorized master does not keep per-iteration ratio copies).  Any
-        earlier ratio is a valid upper bound — capped gains are monotone
-        non-increasing — and the selection certificate (fresh ratio beats
-        the next bound by more than ``ε``) identifies the unique ε-margin
-        argmax regardless of how loose the bounds are, so the replayed
-        iterations stay bit-identical; staler seeds only cost extra
-        pop-and-recompute rounds.
+        or before ``start`` rather than the snapshot-time ones (the master
+        does not keep per-iteration ratio copies).  Any earlier ratio is a
+        valid upper bound, and the selection certificate identifies the
+        unique ε-margin argmax regardless of how loose the bounds are, so
+        the replayed iterations stay bit-identical; staler seeds only cost
+        extra pop-and-recompute rounds.
 
         The heap starts as a copy of the checkpoint's pre-heapified
         template over *all* rows; rows dead at this snapshot (the selected
@@ -632,8 +435,10 @@ class BatchPricer:
         satisfied — the omitted iterations provably cannot contribute a
         price candidate (module docstring, lever 3).
 
-        ``breakdown`` — see :meth:`_replay_without`; same three sections
-        plus ``exit_check`` (time spent evaluating the certificate).
+        ``breakdown`` (audit mode only — ``price`` passes it when a tracer
+        is attached) accumulates per-section seconds: ``gain_recompute``
+        vs ``heap_maintenance`` vs ``residual_update`` vs ``exit_check``
+        (time spent evaluating the certificate).
         """
         clock = time.perf_counter if breakdown is not None else None
         residual = self._snapshots[start].copy()
@@ -834,12 +639,7 @@ class BatchPricer:
             )
             if user_id in self._position:
                 start = self._position[user_id]
-                replay = (
-                    self._replay_without_vectorized
-                    if self.kernel == "vectorized"
-                    else self._replay_without
-                )
-                suffix, satisfied = replay(
+                suffix, satisfied = self._replay(
                     start, self._row_of[user_id], counters, breakdown
                 )
                 iterations = self.trace.iterations[:start] + suffix

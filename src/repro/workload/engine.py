@@ -1,17 +1,18 @@
 """Vectorized auction-instance assembly (the workload engine, layer 2).
 
-Array re-implementations of ``WorkloadGenerator.single_task_instance`` and
-``multi_task_instance`` that consume the batched
+The bodies of ``WorkloadGenerator.single_task_instance`` and
+``multi_task_instance``: they consume the batched
 :class:`~repro.mobility.markov_kernel.FleetProfiles` instead of the
-per-taxi ``_ranked`` dicts.  The contract is **bit-identical output**: the
-same :class:`~repro.core.types.SingleTaskInstance` /
+per-taxi ``_ranked`` dicts of the generator's ``*_reference`` oracles.
+The contract is **bit-identical output**: the same
+:class:`~repro.core.types.SingleTaskInstance` /
 :class:`~repro.core.types.AuctionInstance`, the same ``taxi_of_user``
 maps, the same :class:`~repro.workload.generator.RepairReport` — enforced
 by the hypothesis parity suite in ``tests/perf/test_workload_parity.py``.
 
 RNG-order contract
 ------------------
-Parity holds because both kernels consume the *same generator stream in
+Parity holds because both paths consume the *same generator stream in
 the same order*:
 
 * **single-task** — ``choice(top_pool)``, then
@@ -22,7 +23,7 @@ the same order*:
   empty bundles — still consume a draw before the reserve taxi is
   tried), then the ``sample_costs`` batch.  Batched ``integers`` draws
   consume the bit stream exactly like the equivalent sequence of scalar
-  draws, so the vectorized kernel simulates the RNG-free part of the
+  draws, so the array path simulates the RNG-free part of the
   assignment walk first (pool overlap is a pure set property), counts
   the attempts, and replays all ``k`` draws as one call.
 

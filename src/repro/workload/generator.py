@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import ValidationError
-from ..core.kernels import resolve_workload_kernel
 from ..core.obshooks import span
 from ..core.transforms import contribution_to_pos, pos_to_contribution
 from ..core.types import AuctionInstance, SingleTaskInstance, Task, UserType
 from ..mobility.markov import MarkovMobilityModel
 from ..mobility.markov_kernel import FleetProfiles, fleet_profiles
 from .config import SimulationConfig, table2_defaults
+from .engine import multi_task_vectorized, single_task_vectorized
 from .sampling import sample_costs, sample_task_set_size
 
 __all__ = [
@@ -96,20 +96,17 @@ class WorkloadGenerator:
         current_cells: Optional snapshot positions (taxi -> cell).  Defaults
             to each taxi's most-visited location.
         seed: Base RNG seed; per-call ``seed`` arguments derive from it.
-        kernel: Default compute kernel for this generator's instances —
-            ``"vectorized"`` assembles bids from batched fleet arrays
-            (:mod:`repro.workload.engine`), ``"reference"`` keeps the
-            original per-taxi loops.  ``None`` resolves through
-            :func:`repro.core.kernels.resolve_workload_kernel`; per-call
-            ``kernel=`` arguments override.  Outputs are bit-identical.
         tracer: Optional duck-typed tracer; instance builds emit
             ``workload.single_task`` / ``workload.multi_task`` spans.
 
-    The candidate-ranking structures are built lazily per kernel: the
-    first reference-kernel call materialises the per-taxi ``_ranked``
-    lists, the first vectorized call builds one batched
-    :class:`~repro.mobility.markov_kernel.FleetProfiles`.  A generator
-    that only ever runs one kernel never pays for the other.
+    Instances are assembled from batched fleet arrays
+    (:mod:`repro.workload.engine`).  :meth:`single_task_instance_reference`
+    and :meth:`multi_task_instance_reference` keep the original per-taxi
+    loops as parity oracles with bit-identical outputs; no run path calls
+    them.  The candidate-ranking structures are built lazily per path: the
+    first oracle call materialises the per-taxi ``_ranked`` lists, the
+    first production call builds one batched
+    :class:`~repro.mobility.markov_kernel.FleetProfiles`.
     """
 
     def __init__(
@@ -118,13 +115,11 @@ class WorkloadGenerator:
         config: SimulationConfig | None = None,
         current_cells: dict[int, int] | None = None,
         seed: int = 0,
-        kernel: str | None = None,
         tracer=None,
     ):
         self.model = model
         self.config = config or table2_defaults()
         self.seed = seed
-        self.kernel = resolve_workload_kernel(kernel)
         self.tracer = tracer
         if not model.taxi_ids:
             raise ValidationError("mobility model has no fitted taxis")
@@ -139,7 +134,7 @@ class WorkloadGenerator:
 
     @property
     def _current(self) -> dict[int, int]:
-        """Snapshot position per taxi (reference-kernel structure, lazy)."""
+        """Snapshot position per taxi (oracle structure, lazy)."""
         if self._current_lazy is None:
             current: dict[int, int] = {}
             for taxi_id in self.model.taxi_ids:
@@ -154,7 +149,7 @@ class WorkloadGenerator:
 
     @property
     def _ranked(self) -> dict[int, list[tuple[int, float]]]:
-        """Ranked candidate destinations per taxi (reference structure, lazy).
+        """Ranked candidate destinations per taxi (oracle structure, lazy).
 
         Each taxi's reach profile over ``pos_horizon`` Markov steps,
         sorted by ``(-PoS, cell)`` and truncated to ``max(max_k, 20)``.
@@ -171,7 +166,7 @@ class WorkloadGenerator:
         return self._ranked_lazy
 
     def fleet_profiles(self) -> FleetProfiles:
-        """Batched profiles for the vectorized kernel (lazy, cached)."""
+        """Batched profiles for instance assembly (lazy, cached)."""
         if self._profiles_lazy is None:
             with span(
                 self.tracer,
@@ -208,7 +203,6 @@ class WorkloadGenerator:
         n_users: int,
         requirement: float | None = None,
         seed: int | None = None,
-        kernel: str | None = None,
     ) -> GeneratedSingleTask:
         """Fix a popular task cell and sample ``n_users`` who can reach it.
 
@@ -216,7 +210,6 @@ class WorkloadGenerator:
             n_users: Number of participating users.
             requirement: PoS requirement ``T`` override (defaults to config).
             seed: RNG seed for this instance.
-            kernel: Compute kernel override (defaults to the generator's).
 
         Raises:
             ValidationError: If the fleet has fewer than ``n_users`` taxis
@@ -224,25 +217,21 @@ class WorkloadGenerator:
         """
         if n_users <= 0:
             raise ValidationError(f"n_users must be positive, got {n_users!r}")
-        resolved = self.kernel if kernel is None else resolve_workload_kernel(kernel)
         rng = self._rng(seed)
-        with span(
-            self.tracer, "workload.single_task", n_users=n_users, kernel=resolved
-        ):
-            if resolved == "vectorized":
-                from .engine import single_task_vectorized
+        with span(self.tracer, "workload.single_task", n_users=n_users):
+            return single_task_vectorized(
+                self.fleet_profiles(), self.config, n_users, requirement, rng
+            )
 
-                return single_task_vectorized(
-                    self.fleet_profiles(), self.config, n_users, requirement, rng
-                )
-            return self._single_task_reference(n_users, requirement, rng)
-
-    def _single_task_reference(
+    def single_task_instance_reference(
         self,
         n_users: int,
-        requirement: float | None,
-        rng: np.random.Generator,
+        requirement: float | None = None,
+        seed: int | None = None,
     ) -> GeneratedSingleTask:
+        """The per-taxi loop: the parity oracle of
+        :meth:`single_task_instance`, with a bit-identical result."""
+        rng = self._rng(seed)
         pos_requirement = (
             self.config.pos_requirement if requirement is None else requirement
         )
@@ -306,41 +295,33 @@ class WorkloadGenerator:
         n_tasks: int,
         requirement: float | None = None,
         seed: int | None = None,
-        kernel: str | None = None,
     ) -> GeneratedMultiTask:
         """Sample users and build the task pool from their predictions.
 
         Users whose top predictions miss the pool entirely are replaced by
         fresh taxis (counted in the repair report); tasks that remain
         uncoverable after repair are dropped (or boosted, per config).
-        ``kernel`` overrides the generator's compute kernel for this call.
         """
         if n_users <= 0 or n_tasks <= 0:
             raise ValidationError("n_users and n_tasks must be positive")
-        resolved = self.kernel if kernel is None else resolve_workload_kernel(kernel)
         rng = self._rng(seed)
         with span(
-            self.tracer,
-            "workload.multi_task",
-            n_users=n_users,
-            n_tasks=n_tasks,
-            kernel=resolved,
+            self.tracer, "workload.multi_task", n_users=n_users, n_tasks=n_tasks
         ):
-            if resolved == "vectorized":
-                from .engine import multi_task_vectorized
+            return multi_task_vectorized(
+                self.fleet_profiles(), self.config, n_users, n_tasks, requirement, rng
+            )
 
-                return multi_task_vectorized(
-                    self.fleet_profiles(), self.config, n_users, n_tasks, requirement, rng
-                )
-            return self._multi_task_reference(n_users, n_tasks, requirement, rng)
-
-    def _multi_task_reference(
+    def multi_task_instance_reference(
         self,
         n_users: int,
         n_tasks: int,
-        requirement: float | None,
-        rng: np.random.Generator,
+        requirement: float | None = None,
+        seed: int | None = None,
     ) -> GeneratedMultiTask:
+        """The per-taxi loop: the parity oracle of
+        :meth:`multi_task_instance`, with a bit-identical result."""
+        rng = self._rng(seed)
         pos_requirement = (
             self.config.pos_requirement if requirement is None else requirement
         )

@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.transforms import pos_to_contribution
+from repro.core.critical import critical_contribution_multi, critical_contribution_single
+from repro.core.fptas import fptas_min_knapsack
+from repro.core.greedy import greedy_allocation_dense
+from repro.core.multi_task import MultiTaskOutcome
+from repro.core.rewards import ec_reward
+from repro.core.single_task import SingleTaskOutcome
+from repro.core.transforms import achieved_pos, pos_to_contribution
 from repro.core.types import AuctionInstance, SingleTaskInstance, Task, UserType
 from repro.simulation.experiments import Testbed, build_testbed
 
@@ -119,6 +125,72 @@ def make_random_multi_task(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+# --------------------------------------------------------------------- #
+# Oracle outcomes: each mechanism rebuilt from its named reference paths
+# --------------------------------------------------------------------- #
+
+
+def oracle_multi_outcome(
+    instance: AuctionInstance,
+    method: str = "threshold",
+    compute_rewards: bool = True,
+    alpha: float = 10.0,
+) -> MultiTaskOutcome:
+    """The multi-task mechanism rebuilt from its oracles: the dense trace,
+    one full counterfactual rerun per winner, and the EC contract."""
+    trace = greedy_allocation_dense(instance)
+    rewards = {}
+    if compute_rewards:
+        for uid in trace.selected:
+            q_bar = critical_contribution_multi(instance, uid, method)
+            rewards[uid] = ec_reward(uid, q_bar, instance.user_by_id(uid).cost, alpha)
+    winners = trace.selected_set
+    per_task = {
+        task.task_id: achieved_pos(
+            [
+                user.contribution(task.task_id)
+                for user in instance.users
+                if user.user_id in winners and task.task_id in user.task_set
+            ]
+        )
+        for task in instance.tasks
+    }
+    return MultiTaskOutcome(
+        winners=winners,
+        rewards=rewards,
+        social_cost=trace.total_cost(instance),
+        achieved_pos=per_task,
+        trace=trace,
+    )
+
+
+def oracle_single_outcome(
+    instance: SingleTaskInstance, epsilon: float = 0.5, alpha: float = 10.0
+) -> SingleTaskOutcome:
+    """The single-task mechanism rebuilt from its oracles: the FPTAS
+    allocation, one full-FPTAS-per-probe bisection per winner, and the EC
+    contract."""
+    allocation = fptas_min_knapsack(instance, epsilon)
+    rewards = {
+        uid: ec_reward(
+            uid,
+            critical_contribution_single(instance, uid, epsilon),
+            instance.costs[instance.index_of(uid)],
+            alpha,
+        )
+        for uid in sorted(allocation.selected)
+    }
+    return SingleTaskOutcome(
+        winners=allocation.selected,
+        rewards=rewards,
+        social_cost=allocation.total_cost,
+        achieved_pos=achieved_pos(
+            [instance.contributions[instance.index_of(uid)] for uid in allocation.selected]
+        ),
+        allocation=allocation,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
-"""Kernel and fan-out selection: the call site's keyword, or the default.
+"""Fan-out selection, and the retired kernel-name shims.
 
-``resolve_kernel``, ``resolve_workload_kernel``, ``resolve_price_workers``
-and ``resolve_price_backend`` turn a ``kernel=`` / ``max_workers=`` /
-``backend=`` keyword into the value a call runs with; ``None`` means the
-default.  A wrong value must fail loudly, and no environment variable —
-not even one named like the ones older versions read — may change what
-any of them returns.
+``resolve_price_workers`` and ``resolve_price_backend`` turn a
+``max_workers=`` / ``backend=`` keyword into the value a call runs with;
+``None`` means the default.  ``resolve_kernel`` and
+``resolve_workload_kernel`` only name the one kernel there is, for the
+end-to-end benchmark's settings record.  A wrong value must fail loudly,
+and no environment variable — not even one named like the ones older
+versions read — may change what any of them returns.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import pytest
 
 from repro.core.errors import ValidationError
 from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
     PriceWorkers,
     resolve_kernel,
     resolve_price_backend,
@@ -27,20 +26,19 @@ from repro.core.kernels import (
 
 
 def test_default_is_vectorized():
-    assert DEFAULT_KERNEL == "vectorized"
     assert resolve_kernel() == "vectorized"
     assert resolve_kernel(None) == "vectorized"
     assert resolve_workload_kernel(None) == "vectorized"
 
 
 def test_explicit_argument_wins_over_everything(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-    assert resolve_kernel("reference") == "reference"
+    monkeypatch.setenv("REPRO_KERNEL", "reference")
+    assert resolve_kernel("vectorized") == "vectorized"
 
 
 def test_empty_environment_value_falls_through(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "")
-    assert resolve_kernel() == DEFAULT_KERNEL
+    assert resolve_kernel() == "vectorized"
 
 
 def test_environment_cannot_steer_resolution(monkeypatch):
@@ -51,8 +49,8 @@ def test_environment_cannot_steer_resolution(monkeypatch):
         "REPRO_PRICE_BACKEND",
     ):
         monkeypatch.setenv(name, "bogus")
-    assert resolve_kernel(None) == DEFAULT_KERNEL
-    assert resolve_workload_kernel(None) == DEFAULT_KERNEL
+    assert resolve_kernel(None) == "vectorized"
+    assert resolve_workload_kernel(None) == "vectorized"
     assert resolve_price_workers(None).auto is True
     assert resolve_price_backend(None) == "thread"
 
@@ -70,9 +68,13 @@ def test_unknown_kernel_names_its_source(install, source):
 
 
 def test_known_kernels_resolve_to_themselves():
-    for kernel in KERNELS:
-        assert resolve_kernel(kernel) == kernel
-        assert resolve_workload_kernel(kernel) == kernel
+    """Only ``"vectorized"`` is known: the dense and per-taxi paths are
+    named oracles now, and no keyword reaches them."""
+    assert resolve_kernel("vectorized") == "vectorized"
+    assert resolve_workload_kernel("vectorized") == "vectorized"
+    for retired in ("reference", "dense"):
+        with pytest.raises(ValidationError):
+            resolve_kernel(retired)
 
 
 class TestPriceWorkers:

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.core.errors import ValidationError
+from repro.core.multi_task import MultiTaskMechanism
 from repro.core.transforms import pos_to_contribution
 from repro.core.types import (
     AuctionInstance,
@@ -82,6 +83,24 @@ class TestUserType:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
             UserType(1, cost=-1.0, pos={0: 0.5})
+
+    def test_subnormal_cost_rejected(self):
+        """At 5e-324 Algorithm 4's gain / cost overflows to inf, which would
+        rank the user first whatever her gain."""
+        with pytest.raises(ValidationError, match="overflow"):
+            UserType(1, cost=5e-324, pos={0: 0.5})
+
+    def test_tiny_cost_with_finite_ratios_accepted(self):
+        """A one-task user at 1e-300 keeps every ratio finite: accepted,
+        and her auction runs without a numpy warning (tier-1 turns
+        RuntimeWarning into an error)."""
+        cheap = UserType(1, cost=1e-300, pos={0: 0.5})
+        instance = AuctionInstance(
+            [Task(0, 0.6)], [cheap, UserType(2, cost=1.0, pos={0: 0.7})]
+        )
+        outcome = MultiTaskMechanism().run(instance)
+        assert outcome.trace.selected[0] == 1
+        assert all(math.isfinite(it.ratio) for it in outcome.trace.iterations)
 
     def test_pos_out_of_range_rejected(self):
         with pytest.raises(ValidationError):

@@ -71,7 +71,7 @@ class TestFitFleet:
     def test_counts_match_reference_model(self):
         seqs = {0: [2, 5, 2, 2, 5], 1: [9, 9], 2: [1]}
         fleet = fit_fleet(SequenceChunk.from_mapping(seqs))
-        ref = MarkovMobilityModel.from_sequences(seqs, kernel="reference")
+        ref = MarkovMobilityModel.from_sequences_reference(seqs)
         # Length-1 taxi 2 is skipped by both.
         assert fleet.taxi_ids.tolist() == list(ref.taxi_ids) == [0, 1]
         for row, taxi_id in enumerate(fleet.taxi_ids.tolist()):
@@ -102,7 +102,7 @@ class TestFitFleet:
 class TestFleetCounts:
     def test_from_models_and_sorted_by_taxi(self):
         seqs = {5: [1, 2, 1], 2: [4, 4, 4]}
-        ref = MarkovMobilityModel.from_sequences(seqs, kernel="reference")
+        ref = MarkovMobilityModel.from_sequences_reference(seqs)
         fleet = FleetCounts.from_models(
             {t: ref.model_for(t) for t in ref.taxi_ids}
         )
@@ -131,7 +131,7 @@ class TestFleetProfiles:
 
     def test_ranked_matches_reference_reach_profile(self):
         seqs = {0: [1, 2, 3, 1, 2, 1], 1: [5, 5, 6, 5]}
-        ref = MarkovMobilityModel.from_sequences(seqs, kernel="reference")
+        ref = MarkovMobilityModel.from_sequences_reference(seqs)
         profiles = fleet_profiles(self.fleet(seqs), "laplace", horizon=5)
         for row, taxi_id in enumerate(profiles.taxi_ids.tolist()):
             current = int(profiles.current[row])
@@ -193,7 +193,7 @@ class TestFleetProfiles:
 class TestTopmHitRanks:
     def test_ranks_agree_with_predict_top(self):
         seqs = {0: [1, 2, 3, 1, 2, 1, 3, 3], 1: [5, 6, 5, 5, 6]}
-        model = MarkovMobilityModel.from_sequences(seqs, kernel="reference")
+        model = MarkovMobilityModel.from_sequences_reference(seqs)
         counts = FleetCounts.from_models({t: model.model_for(t) for t in model.taxi_ids})
         pairs = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (1, 5, 6), (1, 6, 5)]
         ranks = topm_hit_ranks(

@@ -6,7 +6,11 @@ import pytest
 from repro.core.errors import ValidationError
 from repro.mobility.dataset import TransitionPair
 from repro.mobility.markov import MarkovMobilityModel
-from repro.mobility.prediction import predicted_pos_samples, prediction_accuracy
+from repro.mobility.prediction import (
+    predicted_pos_samples,
+    prediction_accuracy,
+    prediction_accuracy_reference,
+)
 
 
 @pytest.fixture
@@ -66,29 +70,23 @@ class TestPredictionAccuracy:
 
 
 class TestKernelEquality:
-    """The vectorized Figure-3 path is a drop-in: exact same numbers."""
+    """The batched Figure-3 path equals its per-pair oracle exactly."""
 
     def test_fig3_curve_identical_on_testbed(self, testbed):
         m_values = tuple(range(3, 16))
-        vec = prediction_accuracy(
-            testbed.model, testbed.dataset.held_out, m_values, kernel="vectorized"
-        )
-        ref = prediction_accuracy(
-            testbed.model, testbed.dataset.held_out, m_values, kernel="reference"
+        vec = prediction_accuracy(testbed.model, testbed.dataset.held_out, m_values)
+        ref = prediction_accuracy_reference(
+            testbed.model, testbed.dataset.held_out, m_values
         )
         assert vec == ref  # exact float equality, not approx
 
     def test_kernels_agree_on_fallback_rows(self, fitted_model):
-        # Current cell 9 was never visited by taxi 0: the reference falls
+        # Current cell 9 was never visited by taxi 0: the oracle falls
         # back to a uniform row; the batched ranker must do the same.
         pairs = [TransitionPair(0, 9, 1), TransitionPair(0, 1, 2)]
         for m_values in ((1,), (1, 2, 3)):
-            vec = prediction_accuracy(
-                fitted_model, pairs, m_values, kernel="vectorized"
-            )
-            ref = prediction_accuracy(
-                fitted_model, pairs, m_values, kernel="reference"
-            )
+            vec = prediction_accuracy(fitted_model, pairs, m_values)
+            ref = prediction_accuracy_reference(fitted_model, pairs, m_values)
             assert vec == ref
 
 

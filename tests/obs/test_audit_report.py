@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.critical import critical_contribution_multi
 from repro.core.multi_task import MultiTaskMechanism
+from repro.core.rewards import ec_reward
 from repro.core.single_task import SingleTaskMechanism
 from repro.core.types import AuctionInstance, SingleTaskInstance, Task, UserType
 from repro.obs import (
@@ -29,6 +31,19 @@ def multi_instance() -> AuctionInstance:
         UserType(5, cost=2.5, pos={0: 0.4, 1: 0.2}),
     ]
     return AuctionInstance([Task(0, 0.8), Task(1, 0.8)], users)
+
+
+def _older_perf_event(kernel: str, **counters) -> dict:
+    """A ``mechanism.perf`` event as runs recorded it before the kernel
+    label and the stage timers were retired."""
+    return {
+        "type": "event",
+        "span_id": None,
+        "name": "mechanism.perf",
+        "kernel": kernel,
+        "stage_seconds": {"winner_determination": 0.25},
+        **counters,
+    }
 
 
 def single_instance() -> SingleTaskInstance:
@@ -56,10 +71,22 @@ class TestNoOpDefault:
         assert traced == plain
 
     def test_reference_pricing_traced_matches_fast(self):
+        """The traced pricing oracle, one counterfactual rerun per winner,
+        prices exactly as the traced mechanism."""
         instance = multi_instance()
-        fast = MultiTaskMechanism(pricing="fast").run(instance, tracer=Tracer())
-        ref = MultiTaskMechanism(pricing="reference").run(instance, tracer=Tracer())
-        assert fast.rewards == ref.rewards
+        fast = MultiTaskMechanism().run(instance, tracer=Tracer())
+        tracer = Tracer()
+        reference = {
+            uid: ec_reward(
+                uid,
+                critical_contribution_multi(instance, uid, tracer=tracer),
+                instance.user_by_id(uid).cost,
+                10.0,
+            )
+            for uid in fast.trace.selected
+        }
+        assert fast.rewards == reference
+        assert len(tracer.events("audit.counterfactual")) == len(reference)
 
 
 class TestAuditEvents:
@@ -144,8 +171,8 @@ class TestReportReconstruction:
         report = build_report(run_dir)
         assert 0.0 <= report.reuse_fractions["greedy_prefix_reuse"] <= 1.0
         assert "wins_cache_hit_rate" in report.reuse_fractions
-        # Merged perf totals carry the stage timers too.
-        assert report.perf_totals["stage.winner_determination"] > 0.0
+        # Merged perf totals are work counters; stage time comes from spans.
+        assert not any(key.startswith("stage.") for key in report.perf_totals)
 
     def test_experiment_summary_reconstructed(self, run_dir):
         report = build_report(run_dir)
@@ -161,18 +188,21 @@ class TestReportReconstruction:
         assert "payment explanations" in text
         assert "EC contract" in text
 
-    def test_kernel_label_reconstructed(self, run_dir):
-        report = build_report(run_dir)
+    def test_kernel_label_reconstructed(self, run_dir, tmp_path):
+        """Runs now carry no label; an older run's ``kernel`` label and
+        stage-timer dict still render (the dict is skipped)."""
+        assert build_report(run_dir).perf_labels == {}
+        report = build_report(
+            tmp_path, records=[_older_perf_event("vectorized", greedy_iterations=3)]
+        )
         assert report.perf_labels["kernel"] == ["vectorized"]
+        assert report.perf_totals == {"greedy_iterations": 3.0}
         text = format_report(report)
         assert "perf labels" in text and "vectorized" in text
 
     def test_mixed_kernel_runs_list_both_labels(self, tmp_path):
-        with EventLog(tmp_path / "events.jsonl") as log:
-            tracer = Tracer(sink=log.append, keep_records=False)
-            for kernel in ("vectorized", "reference"):
-                MultiTaskMechanism(kernel=kernel).run(multi_instance(), tracer=tracer)
-        report = build_report(tmp_path)
+        records = [_older_perf_event(k) for k in ("vectorized", "reference")]
+        report = build_report(tmp_path, records=records)
         assert report.perf_labels["kernel"] == ["vectorized", "reference"]
 
     def test_report_without_manifest_still_works(self, run_dir):

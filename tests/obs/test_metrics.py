@@ -70,15 +70,18 @@ class TestPrimitives:
 
 class TestProducers:
     def test_absorb_perf_counters_and_stages(self):
+        """Counters land as ``perf.*``; the stage-timer dict that older
+        snapshots carried is skipped (stage time comes from spans)."""
         counters = PerfCounters()
         counters.greedy_iterations = 5
-        with counters.stage("winner_determination"):
-            pass
         registry = MetricsRegistry()
         registry.absorb_perf(counters)
+        older = {"greedy_iterations": 2, "stage_seconds": {"winner_determination": 0.5}}
+        registry.absorb_perf(older)
         snap = registry.to_dict()
-        assert snap["counters"]["perf.greedy_iterations"] == 5
-        assert snap["histograms"]["stage.winner_determination"]["count"] == 1
+        assert snap["counters"]["perf.greedy_iterations"] == 7
+        assert not any(name.startswith("stage.") for name in snap["histograms"])
+        assert "perf.stage_seconds" not in snap["counters"]
 
     def test_observe_outcome_multi(self):
         outcome = MultiTaskMechanism().run(small_multi_instance())

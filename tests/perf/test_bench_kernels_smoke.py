@@ -2,10 +2,11 @@
 
 Drives the exact functions behind ``BENCH_kernels.json`` at tiny sizes so
 every tier-1 run proves the harness end to end: sparse instances build,
-both kernels run, the trace parity assert *inside* the sweep fires, and
-the records carry the per-point fields ``compare_bench`` expands.  Speedup magnitudes are not asserted here — at smoke sizes the
-vectorized kernel's fixed setup dominates; the ≥10x bar lives in the
-``perf``-marked full-size test.
+the CSR greedy and its dense oracle run, the trace parity assert *inside*
+the sweep fires, and the records carry the per-point fields
+``compare_bench`` expands.  Speedup magnitudes are not asserted here — at
+smoke sizes the CSR greedy's fixed setup dominates; the ≥10x bar lives in
+the ``perf``-marked full-size test.
 """
 
 from __future__ import annotations

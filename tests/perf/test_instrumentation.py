@@ -1,9 +1,17 @@
-"""Tests for the perf instrumentation layer (counters + stage timers)."""
+"""Tests for the perf instrumentation layer.
+
+``PerfCounters`` holds work counters only; stage time has one source, the
+tracer's spans, which ``build_report`` sums per span name.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
+import pytest
+
+from repro.obs import Tracer, build_report
 from repro.perf.batch_pricer import BatchPricer
 from repro.perf.instrumentation import PerfCounters
 
@@ -19,54 +27,44 @@ def test_counters_start_at_zero():
     assert counters.fptas_dp_cells_reused == 0
     assert counters.wins_evaluations == 0
     assert counters.wins_cache_hits == 0
-    assert counters.stage_seconds == {}
 
 
-def test_stage_timer_accumulates_across_blocks():
-    counters = PerfCounters()
-    with counters.stage("work"):
+def test_stage_timer_accumulates_across_blocks(tmp_path):
+    """Two spans of one name add up in the span-derived stage table."""
+    tracer = Tracer()
+    with tracer.span("work"):
         time.sleep(0.01)
-    first = counters.stage_seconds["work"]
-    assert first > 0.0
-    with counters.stage("work"):
+    first = tracer.spans[0].seconds
+    with tracer.span("work"):
         time.sleep(0.01)
-    assert counters.stage_seconds["work"] > first  # accumulates, not replaces
+    report = build_report(tmp_path, records=tracer.records)
+    assert report.stage_counts["work"] == 2
+    assert report.stage_seconds["work"] > first  # accumulates, not replaces
+    assert report.stage_seconds["work"] == sum(s.seconds for s in tracer.spans)
 
 
-def test_stage_timer_records_on_exception():
-    counters = PerfCounters()
-    try:
-        with counters.stage("failing"):
+def test_stage_timer_records_on_exception(tmp_path):
+    tracer = Tracer()
+    with pytest.raises(RuntimeError):
+        with tracer.span("failing"):
             raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert counters.stage_seconds["failing"] >= 0.0
+    report = build_report(tmp_path, records=tracer.records)
+    assert report.stage_seconds["failing"] >= 0.0
 
 
-def test_merge_sums_counters_and_stages():
+def test_merge_sums_counters():
     a = PerfCounters()
     a.greedy_iterations = 3
     a.counterfactual_runs = 1
-    with a.stage("s"):
-        pass
-    a.stage_seconds["s"] = 1.0
 
     b = PerfCounters()
     b.greedy_iterations = 4
     b.wins_cache_hits = 2
-    b.stage_seconds["s"] = 0.5
-    b.stage_seconds["t"] = 2.0
 
     a.merge(b)
     assert a.greedy_iterations == 7
     assert a.counterfactual_runs == 1
     assert a.wins_cache_hits == 2
-    assert a.stage_seconds["s"] == 1.5
-    assert a.stage_seconds["t"] == 2.0
-
-
-def _int_fields(counters: PerfCounters) -> dict[str, int]:
-    return {k: v for k, v in counters.to_dict().items() if k != "stage_seconds"}
 
 
 def test_merge_under_thread_fanout_matches_sequential():
@@ -81,7 +79,7 @@ def test_merge_under_thread_fanout_matches_sequential():
     par_prices = par.price_all(max_workers=4)
 
     assert par_prices == seq_prices
-    assert _int_fields(par.counters) == _int_fields(seq.counters)
+    assert par.counters.to_dict() == seq.counters.to_dict()
     assert par.counters.counterfactual_runs == len(par.trace.selected)
 
 
@@ -91,42 +89,33 @@ def test_merge_equals_sum_of_per_worker_counters():
 
     instance = make_winners_heavy_multi(n_users=30, n_tasks=6, seed=7)
     pricer = BatchPricer(instance, require_feasible=False)
-    master = _int_fields(pricer.counters)  # construction ran the master greedy
+    master = pricer.counters.to_dict()  # construction ran the master greedy
 
     workers = [PerfCounters() for _ in pricer.trace.selected]
     for uid, wc in zip(pricer.trace.selected, workers):
-        with wc.stage("reward_determination"):
-            pricer.price(uid, counters=wc)
+        pricer.price(uid, counters=wc)
 
     merged = PerfCounters()
     for wc in workers:
         merged.merge(wc)
 
-    for field_name, total in _int_fields(merged).items():
-        assert total == sum(_int_fields(wc)[field_name] for wc in workers)
-    # Stage timers accumulate across merges (one re-entry per worker).
-    assert merged.stage_seconds["reward_determination"] > 0.0
-    assert merged.stage_seconds["reward_determination"] == sum(
-        wc.stage_seconds["reward_determination"] for wc in workers
-    )
+    for field_name, total in merged.to_dict().items():
+        assert total == sum(wc.to_dict()[field_name] for wc in workers)
 
     # And merging into the shared counters reproduces the fan-out totals:
     # master work + Σ workers == what price_all(max_workers=k) reports.
     reference = BatchPricer(instance, require_feasible=False)
     reference.price_all(max_workers=3)
-    combined = {
-        key: master[key] + value for key, value in _int_fields(merged).items()
-    }
-    assert combined == _int_fields(reference.counters)
+    combined = {key: master[key] + value for key, value in merged.to_dict().items()}
+    assert combined == reference.counters.to_dict()
 
 
 def test_to_dict_round_trips_every_field():
     counters = PerfCounters()
     counters.fptas_dp_cells = 42
-    with counters.stage("alloc"):
-        pass
     as_dict = counters.to_dict()
     assert as_dict["fptas_dp_cells"] == 42
-    assert "alloc" in as_dict["stage_seconds"]
+    assert set(as_dict) == {f.name for f in dataclasses.fields(PerfCounters)}
     # Plain-JSON types only (the benchmark dumps this verbatim).
     assert all(isinstance(k, str) for k in as_dict)
+    assert all(isinstance(v, int) for v in as_dict.values())

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from repro.core.critical import critical_contribution_single
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import MAX_DP_CELLS, fptas_min_knapsack
-from repro.core.kernels import DEFAULT_KERNEL, resolve_kernel
+from repro.core.kernels import resolve_kernel
 from repro.core.types import SingleTaskInstance
 from repro.perf import PerfCounters, SingleTaskPricer, critical_contribution_single_fast
 
@@ -74,7 +74,7 @@ def test_cross_winner_prefix_batching(rng, kernel, monkeypatch):
         instance, epsilon=EPSILON, counters=unset_counters
     ).price_all(winners)
     monkeypatch.setenv("REPRO_KERNEL", kernel)
-    assert resolve_kernel() == DEFAULT_KERNEL
+    assert resolve_kernel() == "vectorized"
     shared_counters = PerfCounters()
     shared = SingleTaskPricer(
         instance, epsilon=EPSILON, counters=shared_counters

@@ -1,8 +1,10 @@
-"""Bit-exact parity: vectorized vs reference workload kernels.
+"""Bit-exact parity: the workload engine against its per-taxi oracles.
 
-The workload engine's vectorized paths (fleet fitting, reach profiles,
-instance assembly) are performance paths only — every
-observable must be *bit-identical* to the per-taxi reference loops: the
+The workload engine's array paths (fleet fitting, reach profiles,
+instance assembly) are the only paths a run takes, and every observable
+must be *bit-identical* to the per-taxi oracles that no keyword reaches
+(``MarkovMobilityModel.from_sequences_reference`` and the generator's
+``*_instance_reference`` methods): the
 same fitted counts, the same UserType bids (costs, PoS dicts), the same
 task pools, the same RepairReports, and the same ValidationError text
 when a drawn fleet is genuinely infeasible (too few pool-overlapping
@@ -84,16 +86,18 @@ def test_multi_task_bit_identical(smoothing, sequences, data):
     n_tasks = data.draw(st.integers(2, 10))
     n_users = data.draw(st.integers(2, max(2, len(sequences) // 2)))
     config = dataclasses.replace(table2_defaults(), repair=repair)
-    results = []
-    for kernel in ("vectorized", "reference"):
-        model = MarkovMobilityModel.from_sequences(
-            sequences, smoothing=smoothing, kernel=kernel
-        )
-        generator = WorkloadGenerator(model, config, kernel=kernel)
-        results.append(
-            _outcome(lambda: generator.multi_task_instance(n_users, n_tasks, seed=seed))
-        )
-    assert_same_multi(*results)
+    model = MarkovMobilityModel.from_sequences(sequences, smoothing=smoothing)
+    oracle_model = MarkovMobilityModel.from_sequences_reference(
+        sequences, smoothing=smoothing
+    )
+    production = WorkloadGenerator(model, config)
+    oracle = WorkloadGenerator(oracle_model, config)
+    assert_same_multi(
+        _outcome(lambda: production.multi_task_instance(n_users, n_tasks, seed=seed)),
+        _outcome(
+            lambda: oracle.multi_task_instance_reference(n_users, n_tasks, seed=seed)
+        ),
+    )
 
 
 @pytest.mark.parametrize("smoothing", SMOOTHINGS)
@@ -102,16 +106,16 @@ def test_multi_task_bit_identical(smoothing, sequences, data):
 def test_single_task_bit_identical(smoothing, sequences, data):
     seed = data.draw(st.integers(0, 10**6))
     n_users = data.draw(st.integers(2, max(2, len(sequences) // 3)))
-    results = []
-    for kernel in ("vectorized", "reference"):
-        model = MarkovMobilityModel.from_sequences(
-            sequences, smoothing=smoothing, kernel=kernel
-        )
-        generator = WorkloadGenerator(model, kernel=kernel)
-        results.append(
-            _outcome(lambda: generator.single_task_instance(n_users, seed=seed))
-        )
-    (tag_v, value_v), (tag_r, value_r) = results
+    model = MarkovMobilityModel.from_sequences(sequences, smoothing=smoothing)
+    oracle_model = MarkovMobilityModel.from_sequences_reference(
+        sequences, smoothing=smoothing
+    )
+    production = WorkloadGenerator(model)
+    oracle = WorkloadGenerator(oracle_model)
+    (tag_v, value_v), (tag_r, value_r) = (
+        _outcome(lambda: production.single_task_instance(n_users, seed=seed)),
+        _outcome(lambda: oracle.single_task_instance_reference(n_users, seed=seed)),
+    )
     assert tag_v == tag_r
     if tag_v == "error":
         assert value_v == value_r
@@ -125,12 +129,8 @@ def test_single_task_bit_identical(smoothing, sequences, data):
 @given(sequences=fleets(min_taxis=30, max_taxis=90), data=st.data())
 def test_fitted_models_identical(sequences, data):
     smoothing = data.draw(st.sampled_from(SMOOTHINGS))
-    vec = MarkovMobilityModel.from_sequences(
-        sequences, smoothing=smoothing, kernel="vectorized"
-    )
-    ref = MarkovMobilityModel.from_sequences(
-        sequences, smoothing=smoothing, kernel="reference"
-    )
+    vec = MarkovMobilityModel.from_sequences(sequences, smoothing=smoothing)
+    ref = MarkovMobilityModel.from_sequences_reference(sequences, smoothing=smoothing)
     assert vec.taxi_ids == ref.taxi_ids
     for taxi_id in vec.taxi_ids:
         model_v, model_r = vec.model_for(taxi_id), ref.model_for(taxi_id)

@@ -8,9 +8,9 @@ The headline guarantees under test:
 * an interrupted run resumed from its checkpoint recomputes **only** the
   missing cells, and the merged result matches an uninterrupted run.
 
-``stage.*`` histograms hold wall-clock timings and are stripped before
-metric comparison; everything else (counters, auction metrics, value
-histograms) is deterministic and compared exactly.
+Every registry metric (counters, auction metrics, value histograms) is
+deterministic and compared exactly; wall-clock stage time lives in tracer
+spans, not in the registry.
 """
 
 import pytest
@@ -41,17 +41,6 @@ SWEEP = {"n_users_list": (10, 14), "repeats": 2}
 def warm_testbed():
     """Build the shared testbed once; forked workers inherit the cache."""
     default_testbed(n_taxis=N_TAXIS, seed=42, kind="dense")
-
-
-def deterministic_metrics(registry: MetricsRegistry) -> dict:
-    """Registry snapshot minus the wall-clock ``stage.*`` histograms."""
-    snapshot = registry.to_dict()
-    snapshot["histograms"] = {
-        name: summary
-        for name, summary in snapshot["histograms"].items()
-        if not name.startswith("stage.")
-    }
-    return snapshot
 
 
 def run_with(workers, name, overrides, completed=None, checkpoint=None, tracer=None):
@@ -118,7 +107,7 @@ class TestSerialParallelEquality:
         serial, s1, m1 = run_with(1, name, overrides)
         parallel, s4, m4 = run_with(4, name, overrides)
         assert serial.to_csv() == parallel.to_csv()
-        assert deterministic_metrics(m1) == deterministic_metrics(m4)
+        assert m1.to_dict() == m4.to_dict()
         assert s1["executed"] == s4["executed"] == s1["total"]
         assert s4["workers"] == 4
 
@@ -172,9 +161,7 @@ class TestCheckpointResume:
         assert stats["skipped"] == 2
         assert stats["executed"] == 2  # only the unfinished cells re-execute
         assert resumed.to_csv() == full_result.to_csv()
-        assert deterministic_metrics(resumed_metrics) == deterministic_metrics(
-            full_metrics
-        )
+        assert resumed_metrics.to_dict() == full_metrics.to_dict()
         # The checkpoint now covers the full grid: a second resume runs nothing.
         completed = load_checkpoint(path)
         _, stats2, _ = run_with(1, "fig5a", FIG5A, completed=completed)
@@ -189,9 +176,9 @@ class TestCheckpointResume:
             1, "fig5b", FIG5B, completed=completed
         )
         assert stats["executed"] == 0
-        full = deterministic_metrics(full_metrics)
+        full = full_metrics.to_dict()
         assert full["counters"]["auction.runs"] == 2.0
-        assert deterministic_metrics(resumed_metrics) == full
+        assert resumed_metrics.to_dict() == full
 
     def test_resume_rejects_changed_params(self, tmp_path):
         path, _, _ = self.full_run(tmp_path, "fig5a", FIG5A)

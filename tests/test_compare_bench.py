@@ -114,9 +114,9 @@ class TestSweepExpansion:
         assert not any(c.regressed for c in comparisons)
 
     def test_checked_in_kernel_dump_compares_clean_against_itself(self):
-        from benchmarks.bench_scalability import BENCH_KERNELS_PATH
+        from benchmarks.bench_scalability import BENCH_KERNEL_SWEEP_PATH
 
-        records = load_records(BENCH_KERNELS_PATH)
+        records = load_records(BENCH_KERNEL_SWEEP_PATH)
         comparisons, _, _ = compare(records, records)
         assert comparisons and not any(c.regressed for c in comparisons)
 
