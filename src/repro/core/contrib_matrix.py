@@ -7,9 +7,11 @@ stores only the ``nnz`` declared (user, task) contributions in CSR form
 plus a CSC-style task→rows index, so the CSR greedy can
 
 * recompute gains for an arbitrary *subset* of rows (the ones whose gain
-  could have changed), and
-* enumerate exactly those rows after a selection (the rows sharing a
-  still-open task with the winner).
+  could have changed),
+* apply a winner's residual update in place, touching only her columns
+  (:meth:`subtract_row`), and
+* enumerate exactly the rows whose gain that update can change (the rows
+  sharing a still-open task with the winner).
 
 **Float parity contract.**  :meth:`gains` must produce bit-identical
 values to the dense oracle's ``np.minimum(contrib[rows], residual).sum(
@@ -137,12 +139,12 @@ class ContributionMatrix:
         np.cumsum(np.bincount(self.cols, minlength=n_tasks), out=self._csc_indptr[1:])
 
         self._chunk_rows = max(1, scratch_cells // max(1, n_tasks))
-        # Scratch buffers are per-thread so the batch pricer's thread
+        # Scratch blocks are per-thread so the batch pricer's thread
         # fan-out can share one matrix without locking.
         self._buffers = threading.local()
 
-    def _scratch_bufs(self) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (scatter block, dense-row buffer), lazily created."""
+    def _scratch(self) -> np.ndarray:
+        """This thread's zeroed scatter block, lazily created."""
         loc = self._buffers
         scratch = getattr(loc, "scratch", None)
         if scratch is None:
@@ -150,8 +152,7 @@ class ContributionMatrix:
                 (min(self._chunk_rows, max(1, self.n_rows)), self.n_cols)
             )
             loc.scratch = scratch
-            loc.row_buf = np.zeros(self.n_cols)
-        return scratch, loc.row_buf
+        return scratch
 
     @property
     def nnz(self) -> int:
@@ -159,7 +160,7 @@ class ContributionMatrix:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the CSR/CSC arrays plus one thread's scratch."""
+        """Bytes held by the CSR/CSC arrays plus one thread's scratch block."""
         scratch_cells = min(self._chunk_rows, max(1, self.n_rows)) * self.n_cols
         return int(
             self.indptr.nbytes
@@ -168,7 +169,7 @@ class ContributionMatrix:
             + self._csc_indptr.nbytes
             + self._csc_rows.nbytes
             + self._csc_vals.nbytes
-            + 8 * (scratch_cells + self.n_cols)
+            + 8 * scratch_cells
         )
 
     # ------------------------------------------------------------------ #
@@ -179,36 +180,23 @@ class ContributionMatrix:
         """Column positions the row contributes to (view, do not mutate)."""
         return self.cols[self.indptr[row] : self.indptr[row + 1]]
 
-    def dense_row(self, row: int) -> np.ndarray:
-        """The row as a dense length-``t`` vector (per-thread buffer, valid
-        until this thread's next ``dense_row``/``row_gain`` call)."""
-        _, buf = self._scratch_bufs()
-        start, stop = self.indptr[row], self.indptr[row + 1]
-        buf[self.cols[start:stop]] = self.vals[start:stop]
-        return buf
+    def subtract_row(self, row: int, residual: np.ndarray) -> np.ndarray:
+        """Algorithm 4's residual update ``Q̄ ← max(0, Q̄ − q_row)``, in place.
 
-    def clear_row_buf(self, row: int) -> None:
-        """Re-zero this thread's dense-row buffer after a :meth:`dense_row`.
+        Only the row's own columns are touched: every other entry of the
+        dense form is ``max(0, Q̄_j − 0.0) = Q̄_j`` (residuals are never
+        negative), so the result is byte-equal to the dense oracle's
+        ``np.maximum(0.0, residual - contrib[row])`` at O(nnz of the row).
 
-        :meth:`dense_row` scatters a row into a shared per-thread buffer
-        and hands out the buffer itself (no copy); callers that keep using
-        the buffer's thread afterwards — the greedy kernels subtract the
-        winner's row from the residual, then continue — must invalidate the
-        scattered entries before the next :meth:`dense_row`/:meth:`row_gain`
-        call on the same thread.  Clearing only the row's own columns keeps
-        this O(nnz of the row) instead of O(t).
+        Returns the row's columns that were still open (``Q̄_j > 0``)
+        before the update — the only tasks whose residual can have moved,
+        hence the only ones whose contributors can see a different gain.
         """
-        _, buf = self._scratch_bufs()
         start, stop = self.indptr[row], self.indptr[row + 1]
-        buf[self.cols[start:stop]] = 0.0
-
-    def row_gain(self, row: int, residual: np.ndarray) -> float:
-        """Capped gain of one row — the same float as the dense oracle's
-        ``np.minimum(contrib[row], residual).sum()`` (full-width reduce)."""
-        buf = self.dense_row(row)
-        gain = float(np.minimum(buf, residual).sum())
-        self.clear_row_buf(row)
-        return gain
+        cols = self.cols[start:stop]
+        before = residual[cols]
+        residual[cols] = np.maximum(0.0, before - self.vals[start:stop])
+        return cols[before > 0.0]
 
     # ------------------------------------------------------------------ #
     # Batched gains (chunked scatter)
@@ -223,7 +211,7 @@ class ContributionMatrix:
         """
         rows = np.asarray(rows, dtype=np.int64)
         out = np.empty(len(rows))
-        scratch, _ = self._scratch_bufs()
+        scratch = self._scratch()
         chunk = scratch.shape[0]
         for lo in range(0, len(rows), chunk):
             sel = rows[lo : lo + chunk]

@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .errors import CriticalBidError, InfeasibleInstanceError
+from .errors import CriticalBidError, InfeasibleInstanceError, ValidationError
 from .fptas import fptas_min_knapsack
 from .greedy import GreedyIteration, greedy_allocation
 from .obshooks import emit as _emit
@@ -80,6 +80,41 @@ DEFAULT_TOLERANCE = 1e-9
 WinPredicate = Callable[[SingleTaskInstance], frozenset[int]]
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a bisection tolerance that is not positive and finite.
+
+    At zero or below, ``high - low > tolerance`` never ends the search (only
+    the adjacent-float rule of :func:`_bisect_boundary` would); a NaN ends
+    it before the first probe, returning the bracket top as the price.
+    """
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ValidationError(
+            f"tolerance must be positive and finite, got {tolerance!r}"
+        )
+
+
+def _bisect_boundary(wins: Callable[[float], bool], high: float, tolerance: float) -> float:
+    """Algorithm 3's bisection of ``[0, high]`` for the win/lose boundary.
+
+    ``wins(0.0)`` must be false and ``wins(high)`` true.  Returns the upper
+    end of the final bracket (a value at which the user provably wins).
+    The search also ends when the midpoint equals an end of the bracket:
+    the two ends are then adjacent floats and the bracket cannot shrink.
+    The reference search and the memoized pricer both bisect through this
+    function, so their probes stay identical.
+    """
+    low = 0.0
+    while high - low > tolerance:
+        mid = 0.5 * (low + high)
+        if mid == low or mid == high:
+            break
+        if wins(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
 def critical_contribution_single(
     instance: SingleTaskInstance,
     user_id: int,
@@ -95,7 +130,8 @@ def critical_contribution_single(
         user_id: The winner whose critical bid is sought.
         epsilon: FPTAS approximation parameter (the counterfactual
             allocations must use the same ``ε`` as the real one).
-        tolerance: Absolute stopping tolerance of the search.
+        tolerance: Absolute stopping tolerance of the search (positive and
+            finite).
         allocator: Override for the winner-determination function (maps an
             instance to the winning id set); defaults to the FPTAS.  Used by
             tests to price against the exact optimum.
@@ -110,7 +146,9 @@ def critical_contribution_single(
     Raises:
         CriticalBidError: If the user does not win at her declared
             contribution (no critical bid exists below it).
+        ValidationError: If ``tolerance`` is not positive and finite.
     """
+    _check_tolerance(tolerance)
 
     def wins(contribution: float) -> bool:
         modified = instance.with_contribution(user_id, contribution)
@@ -136,15 +174,8 @@ def critical_contribution_single(
         # The user wins even contributing nothing; the boundary is at zero.
         return 0.0
 
-    low, high = 0.0, max(instance.requirement, declared)
     # By monotonicity (Lemma 1), wins(high) holds because high >= declared.
-    while high - low > tolerance:
-        mid = 0.5 * (low + high)
-        if wins(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    return _bisect_boundary(wins, max(instance.requirement, declared), tolerance)
 
 
 def critical_contribution_multi(
@@ -173,7 +204,7 @@ def critical_contribution_multi(
     multi-task mechanism prices.
     """
     if method not in ("threshold", "paper"):
-        raise ValueError(f"unknown critical-bid method {method!r}")
+        raise ValidationError(f"unknown critical-bid method {method!r}")
     user = instance.user_by_id(user_id)
     counterfactual = instance.without_user(user_id)
     with _span(tracer, "counterfactual", user_id=user_id):
@@ -211,8 +242,11 @@ def price_from_iterations(
         satisfied: Whether that run met every requirement (``user`` is
             pivotal when it did not).
         method: ``"threshold"`` or ``"paper"`` (see
-            :func:`critical_contribution_multi`).
+            :func:`critical_contribution_multi`); anything else raises
+            :class:`ValidationError`.
     """
+    if method not in ("threshold", "paper"):
+        raise ValidationError(f"unknown critical-bid method {method!r}")
     if method == "paper":
         best = math.inf
         for iteration in iterations:

@@ -12,7 +12,10 @@ Besides the selected set, :func:`greedy_allocation` records a full
 requirements, with what gain and ratio).  The multi-task reward scheme
 (Algorithm 5) replays exactly this trace on the instance without user ``i``
 to compute her critical bid, so keeping the trace in one place guarantees
-the reward scheme prices against the very same allocation rule.
+the reward scheme prices against the very same allocation rule.  The CSR
+loop itself exists once, in ``_CsrGreedy``: :func:`greedy_allocation`
+runs it to the end, and the batch pricer's master run drives the same
+loop step by step.
 
 Tie-breaking: on equal ratios the lowest user id wins, making the allocation
 deterministic.
@@ -262,88 +265,127 @@ def greedy_allocation(
     the identical selection rule (:func:`select_best_row`) to the same
     floats, so the two traces are byte-for-byte equal.
     """
-    task_ids = [t.task_id for t in instance.tasks]
-    task_index = {tid: k for k, tid in enumerate(task_ids)}
-    users = sorted(instance.users, key=lambda u: u.user_id)
-    n, t = len(users), len(task_ids)
+    greedy = _CsrGreedy(instance, counters, tracer)
+    while greedy.is_open() and greedy.step(require_feasible):
+        pass
+    return greedy.trace()
 
-    matrix = ContributionMatrix(users, task_index, t)
-    costs = np.array([u.cost for u in users])
-    uids = [u.user_id for u in users]
-    residual = np.array([t_.contribution_requirement for t_ in instance.tasks])
-    active = np.ones(n, dtype=bool)
 
-    gains = matrix.gains(np.arange(n, dtype=np.int64), residual) if n else np.empty(0)
-    ratios = gains / costs if n else np.empty(0)
-    if counters is not None:
-        counters.greedy_rows_recomputed += n
+class _CsrGreedy:
+    """Algorithm 4's CSR loop, advanced one selection per :meth:`step`.
 
-    selected: list[int] = []
-    iterations: list[GreedyIteration] = []
+    Owns the users in ascending id order, their :class:`ContributionMatrix`,
+    costs, ids and the residual vector, plus the incremental gain state:
+    gains live in full-length arrays with selected rows zeroed (a zero gain
+    is below the :func:`select_best_row` eligibility floor, so it can never
+    be re-picked), and after each selection only the rows sharing a
+    still-open task with the winner are recomputed.
 
-    while (residual > _EPS).any():
+    :func:`greedy_allocation` runs it to the end.  The batch pricer's
+    master run (:class:`repro.perf.batch_pricer.BatchPricer`) drives the
+    same loop step by step, snapshotting the residual and checkpointing
+    ``ratios`` between steps, and its replays reuse ``matrix``, ``costs``
+    and ``uids`` — so one loop serves winner determination and pricing.
+    """
+
+    def __init__(self, instance: AuctionInstance, counters=None, tracer=None):
+        self.task_ids = [t.task_id for t in instance.tasks]
+        self.task_index = {tid: k for k, tid in enumerate(self.task_ids)}
+        users = sorted(instance.users, key=lambda u: u.user_id)
+        n = len(users)
+        self.matrix = ContributionMatrix(users, self.task_index, len(self.task_ids))
+        self.costs = np.array([u.cost for u in users])
+        self.uids = [u.user_id for u in users]
+        self.residual = np.array([t.contribution_requirement for t in instance.tasks])
+        self.active = np.ones(n, dtype=bool)
+        self.gains = (
+            self.matrix.gains(np.arange(n, dtype=np.int64), self.residual)
+            if n
+            else np.empty(0)
+        )
+        self.ratios = self.gains / self.costs if n else np.empty(0)
+        if counters is not None:
+            counters.greedy_rows_recomputed += n
+        self.counters = counters
+        self.tracer = tracer
+        self.selected_rows: list[int] = []
+        self.iterations: list[GreedyIteration] = []
+
+    def is_open(self) -> bool:
+        """Whether some task's requirement is still unmet."""
+        return bool((self.residual > _EPS).any())
+
+    def step(self, require_feasible: bool) -> bool:
+        """One iteration: select, record, update the residual and gains.
+
+        Returns ``False`` (selecting nothing) when no row offers positive
+        gain; with ``require_feasible`` that raises
+        :class:`InfeasibleInstanceError` instead.
+        """
+        counters = self.counters
         if counters is not None:
             counters.greedy_iterations += 1
+        gains, ratios, costs, residual = self.gains, self.ratios, self.costs, self.residual
         best_row = select_best_row(gains, ratios)
         if best_row < 0:
             if require_feasible:
                 uncovered = frozenset(
-                    tid for k, tid in enumerate(task_ids) if residual[k] > _EPS
+                    tid for k, tid in enumerate(self.task_ids) if residual[k] > _EPS
                 )
                 raise InfeasibleInstanceError(
                     f"tasks {sorted(uncovered)} cannot reach their requirements",
                     uncoverable_tasks=uncovered,
                 )
-            break
-        snapshot = positive_residual_snapshot(residual, task_ids)
-        iterations.append(
+            return False
+        snapshot = positive_residual_snapshot(residual, self.task_ids)
+        user_id = self.uids[best_row]
+        gain = float(gains[best_row])
+        ratio = float(ratios[best_row])
+        cost = float(costs[best_row])
+        self.iterations.append(
             GreedyIteration(
-                user_id=uids[best_row],
+                user_id=user_id,
                 residual_before=snapshot,
-                gain=float(gains[best_row]),
-                ratio=float(ratios[best_row]),
-                cost=float(costs[best_row]),
+                gain=gain,
+                ratio=ratio,
+                cost=cost,
             )
         )
-        if tracer is not None:
-            tracer.event(
+        if self.tracer is not None:
+            self.tracer.event(
                 "greedy.select",
-                user_id=uids[best_row],
-                iteration=len(selected),
-                gain=float(gains[best_row]),
-                ratio=float(ratios[best_row]),
-                cost=float(costs[best_row]),
+                user_id=user_id,
+                iteration=len(self.selected_rows),
+                gain=gain,
+                ratio=ratio,
+                cost=cost,
                 residual_open=len(snapshot),
                 residual_total=float(sum(snapshot.values())),
             )
-        selected.append(uids[best_row])
-        active[best_row] = False
+        self.selected_rows.append(best_row)
+        self.active[best_row] = False
         gains[best_row] = 0.0
         ratios[best_row] = 0.0
 
-        # Tasks whose residual actually moves: the winner's columns that
-        # were still open (a zero residual stays an exact zero).
-        winner_cols = matrix.row_cols(best_row)
-        changed = winner_cols[residual[winner_cols] > 0.0]
-        winner_row = matrix.dense_row(best_row)
-        residual = np.maximum(0.0, residual - winner_row)
-        matrix.clear_row_buf(best_row)
-
-        affected = matrix.rows_touching(changed)
-        affected = affected[active[affected]]
+        changed = self.matrix.subtract_row(best_row, residual)
+        affected = self.matrix.rows_touching(changed)
+        affected = affected[self.active[affected]]
         if affected.size:
-            gains[affected] = matrix.gains(affected, residual)
+            gains[affected] = self.matrix.gains(affected, residual)
             ratios[affected] = gains[affected] / costs[affected]
             if counters is not None:
                 counters.greedy_rows_recomputed += int(affected.size)
+        return True
 
-    satisfied = bool((residual <= _EPS).all())
-    return GreedyTrace(
-        selected=tuple(selected),
-        iterations=tuple(iterations),
-        residual_after={tid: float(residual[k]) for k, tid in enumerate(task_ids)},
-        satisfied=satisfied,
-    )
+    def trace(self) -> GreedyTrace:
+        """The run so far as a :class:`GreedyTrace`."""
+        residual = self.residual
+        return GreedyTrace(
+            selected=tuple(self.uids[row] for row in self.selected_rows),
+            iterations=tuple(self.iterations),
+            residual_after={tid: float(residual[k]) for k, tid in enumerate(self.task_ids)},
+            satisfied=bool((residual <= _EPS).all()),
+        )
 
 
 def greedy_allocation_reference(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .critical import DEFAULT_TOLERANCE
+from .critical import DEFAULT_TOLERANCE, _check_tolerance
 from .errors import ValidationError
 from .fptas import DEFAULT_EPSILON, FptasResult, fptas_min_knapsack
 from .obshooks import emit as _emit
@@ -65,7 +65,8 @@ class SingleTaskMechanism:
         epsilon: FPTAS approximation parameter ``ε`` (paper default 0.5).
         alpha: Reward scaling factor ``α`` (paper default 10); trades off
             winners' utility against platform spend.
-        tolerance: Absolute tolerance of the critical-bid binary search.
+        tolerance: Absolute tolerance of the critical-bid binary search
+            (positive and finite, else :class:`ValidationError`).
 
     Winners are priced through
     :class:`repro.perf.single_pricer.SingleTaskPricer` (memoized monotone
@@ -94,6 +95,7 @@ class SingleTaskMechanism:
     ):
         if alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {alpha!r}")
+        _check_tolerance(tolerance)
         self.epsilon = epsilon
         self.alpha = alpha
         self.tolerance = tolerance

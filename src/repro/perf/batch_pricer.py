@@ -30,27 +30,30 @@ next bound, the replay falls back to the full vectorised scan with the
 reference tie-chain (:func:`repro.core.greedy.select_best_row`), so
 ε-level ratio ties resolve exactly as in ``greedy_allocation``.
 
-All winners are priced against one shared contribution matrix and cost
-vector built once per instance — no per-winner ``AuctionInstance`` copies,
-and per-row gains are bit-identical to the matrix row sums (same values,
-same within-row reduction order).  The pinning property tests
+The master run is Algorithm 4 itself: the pricer drives the CSR loop of
+:mod:`repro.core.greedy` (the one :func:`~repro.core.greedy.greedy_allocation`
+runs) step by step, adding only what pricing needs between steps — the
+residual vector before each iteration and periodic ratio-heap checkpoints.
+All winners are then priced against that loop's contribution matrix and
+cost vector, built once per instance — no per-winner ``AuctionInstance``
+copies, and per-row gains are bit-identical to the matrix row sums (same
+values, same within-row reduction order).  The pinning property tests
 (``tests/perf/test_batch_pricer.py``) cross-check the fast path against
 full reruns, including on hypothesis-generated adversarial instances.
 
 Three further levers stack on the lazy replay, each individually
 parity-gated (none of them moves a float the reference would produce):
 
-1. **Batched gain recomputes** — when the vectorized replay pops a stale
-   heap entry it gathers the run of stale entries behind it (up to
-   ``gain_batch``) and refreshes them through one
-   :meth:`ContributionMatrix.gains` scatter call instead of per-pop
-   scalar ``row_gain`` calls, then pushes the exact ratios back and
-   re-pops.  The selection certificate ("fresh ratio beats every other
-   bound by more than ε") is order-independent — it identifies the unique
-   ε-margin argmax no matter which rows were refreshed first — and the
-   within-ε case still falls back to the literal reference scan, so the
-   selected iterations are bit-identical; batching only changes how many
-   numpy calls the refreshes cost.
+1. **Batched gain recomputes** — when the replay pops a stale heap entry
+   it gathers the run of stale entries behind it (up to 64) and refreshes
+   them through one :meth:`ContributionMatrix.gains` scatter call, then
+   pushes the exact ratios back and re-pops.  The selection certificate
+   ("fresh ratio beats every other bound by more than ε") is
+   order-independent — it identifies the unique ε-margin argmax no matter
+   which rows were refreshed first — and the within-ε case still falls
+   back to the literal reference scan, so the selected iterations are
+   bit-identical; batching only changes how many numpy calls the
+   refreshes cost.
 
 2. **Multi-core fan-out** — :meth:`price_all` takes its worker count
    from the ``max_workers=`` keyword (a count, or ``"auto"`` / ``None``
@@ -60,9 +63,9 @@ parity-gated (none of them moves a float the reference would produce):
    winners yields the same prices; per-worker :class:`PerfCounters`
    merge back in deterministic order.
 
-3. **Sound early exit** (``method="threshold"`` only) — a replay may stop
-   before the residuals are satisfied once continuing provably cannot
-   change the price.  The criterion and its proof:
+3. **Sound early exit** (on exactly when ``method="threshold"``) — a
+   replay may stop before the residuals are satisfied once continuing
+   provably cannot change the price.  The criterion and its proof:
 
    * *(a) the priced user's tasks are exhausted:* every column of user
      ``i``'s bundle has replay residual exactly ``0.0`` (the update clamps
@@ -92,7 +95,7 @@ parity-gated (none of them moves a float the reference would produce):
    price and the ``satisfied`` flag is unchanged — the truncated trace
    prices bit-identically.  ``method="paper"`` takes the min over *all*
    iterations (every omitted iteration is a live candidate), so the exit
-   is structurally unsound there and the constructor refuses to enable it.
+   is structurally unsound there and never arms.
 """
 
 from __future__ import annotations
@@ -104,15 +107,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.contrib_matrix import ContributionMatrix
 from repro.core.critical import price_from_iterations
-from repro.core.errors import InfeasibleInstanceError, ValidationError
-from repro.core.greedy import (
-    GreedyIteration,
-    GreedyTrace,
-    positive_residual_snapshot,
-    select_best_row,
-)
+from repro.core.errors import ValidationError
+from repro.core.greedy import GreedyIteration, _CsrGreedy, select_best_row
 from repro.core.kernels import resolve_price_workers
 from repro.core.obshooks import emit as _emit
 from repro.core.obshooks import span as _span
@@ -126,10 +123,9 @@ __all__ = ["BatchPricer"]
 
 _EPS = 1e-12
 
-#: Default number of stale heap entries refreshed per batched
-#: :meth:`ContributionMatrix.gains` call inside a replay.  ``1`` reproduces
-#: the per-pop scalar path (the PR 6 behaviour) for ablation benchmarks.
-DEFAULT_GAIN_BATCH = 64
+#: Stale heap entries refreshed per batched
+#: :meth:`ContributionMatrix.gains` call inside a replay (lever 1).
+_GAIN_BATCH = 64
 
 #: An auto-resolved (heuristic) worker count only engages fan-out when the
 #: auction has at least this many winners; below it, pool startup costs
@@ -140,6 +136,13 @@ _AUTO_FANOUT_MIN_WINNERS = 32
 #: further iterations have run (open tasks may since have closed, which can
 #: make a previously failing certificate pass).
 _EXIT_RECHECK_STRIDE = 32
+
+#: The master run checkpoints its ratio heap every this many iterations at
+#: first; past _MAX_CKPTS checkpoints the stride doubles and every other
+#: checkpoint is dropped, so at most ~2·_MAX_CKPTS heaps ever exist.
+_CKPT_STRIDE = 32
+_MAX_CKPTS = 16
+
 
 class _ResidualView:
     """Read-only mapping view of a residual vector (supports ``.get`` only).
@@ -182,7 +185,10 @@ class BatchPricer:
     Args:
         instance: The declared multi-task instance.
         method: ``"threshold"`` (default) or ``"paper"`` — same meaning as
-            in :func:`critical_contribution_multi`.
+            in :func:`critical_contribution_multi`.  Replays take the early
+            exit (module docstring, lever 3) exactly under
+            ``"threshold"``: ``"paper"`` mins over *all* iterations, so
+            truncating a replay would change its price.
         counters: Optional shared :class:`PerfCounters`; a private one is
             created otherwise (exposed as ``.counters``).
         require_feasible: Passed to the master greedy run; ``True`` raises
@@ -194,18 +200,6 @@ class BatchPricer:
             resulting critical bid).  Replay-internal iterations are *not*
             traced per-decision — they are summarised by the event — so
             audit mode stays usable at benchmark sizes.
-        early_exit: Enable the proven replay-termination criterion (see
-            the module docstring).  ``None`` (default) enables it exactly
-            when it is sound: ``method="threshold"``.  Passing ``True``
-            with ``method="paper"`` raises :class:`ValidationError` — the
-            paper method mins over *all* iterations, so truncating the
-            replay changes its price (and the ``required_gain <= 1e-15``
-            pricing corner is reachable post-coverage); there is no sound
-            exit to enable.
-        gain_batch: How many stale heap entries a replay refreshes per
-            batched :meth:`ContributionMatrix.gains` call; ``1`` restores
-            the PR 6 per-pop scalar recompute (ablation baseline).
-            Bit-identical prices for any value.
     """
 
     def __init__(
@@ -215,172 +209,65 @@ class BatchPricer:
         counters: PerfCounters | None = None,
         require_feasible: bool = True,
         tracer=None,
-        early_exit: bool | None = None,
-        gain_batch: int = DEFAULT_GAIN_BATCH,
     ):
         if method not in ("threshold", "paper"):
             raise ValidationError(f"unknown critical-bid method {method!r}")
-        if early_exit and method == "paper":
-            raise ValidationError(
-                "early_exit is unsound for method='paper': Algorithm 5 takes "
-                "the minimum over all counterfactual iterations, so omitted "
-                "iterations are live price candidates"
-            )
-        if gain_batch < 1:
-            raise ValidationError(f"gain_batch must be >= 1, got {gain_batch!r}")
         self.instance = instance
         self.method = method
-        self.early_exit = method == "threshold" if early_exit is None else bool(early_exit)
-        self.gain_batch = int(gain_batch)
         self.counters = counters if counters is not None else PerfCounters()
         self.tracer = tracer
 
-        # Shared arrays, built once — mirrors greedy_allocation's layout.
-        self._task_ids = [t.task_id for t in instance.tasks]
-        task_index = {tid: k for k, tid in enumerate(self._task_ids)}
-        self._task_index = task_index
-        users = sorted(instance.users, key=lambda u: u.user_id)
-        n = len(users)
-        self._matrix = ContributionMatrix(users, task_index, len(self._task_ids))
-        self._costs = np.array([u.cost for u in users])
-        # Conservative bound for the early-exit cost floor: every
-        # counterfactual iteration's winner cost is ≤ this.
-        self._max_cost = float(self._costs.max()) if n else 0.0
-        self._uids = [u.user_id for u in users]
-        self._row_of = {u.user_id: row for row, u in enumerate(users)}
-        self._initial_residual = np.array(
-            [t.contribution_requirement for t in instance.tasks]
-        )
-
-        self._run_greedy(require_feasible)
-
-    # ------------------------------------------------------------------ #
-    # Master run (Algorithm 4) with per-iteration snapshots
-    # ------------------------------------------------------------------ #
-
-    def _run_greedy(self, require_feasible: bool) -> None:
-        """The master run: Algorithm 4 as the incremental CSR greedy of
-        :func:`repro.core.greedy.greedy_allocation`, with snapshots.
-
-        Gains live in full-length arrays with selected rows zeroed (a zero
-        gain is below the ``select_best_row`` eligibility floor, so it can
-        never be re-picked); after each selection only the rows sharing a
-        still-open task with the winner are recomputed, through the same
-        full-width reduction a dense rescan uses — bit-identical trace.
-        Snapshots keep only the O(t) residual vector per iteration; replays
-        seed their upper bounds from the checkpointed ratio heaps below,
-        which stay valid at any later iteration because capped gains only
-        shrink.
-        """
-        n = len(self._uids)
-        matrix = self._matrix
-        costs = self._costs
-        residual = self._initial_residual.copy()
-        active = np.ones(n, dtype=bool)
-        gains = matrix.gains(np.arange(n, dtype=np.int64), residual) if n else np.empty(0)
-        ratios = gains / costs if n else np.empty(0)
-        self.counters.greedy_rows_recomputed += n
-        # Heapified (-ratio, row) bound templates, checkpointed every
-        # ``stride`` master iterations (stride doubles past _MAX_CKPTS, so
-        # at most ~2·_MAX_CKPTS templates ever exist).  Each replay copies
-        # the latest template at or before its start (an O(n) pointer
-        # memcpy) instead of rebuilding n tuples per winner, and gets
-        # bounds at most ``stride`` iterations stale — loose seeds are
-        # *correct* (capped gains only shrink) but cost pop-and-recompute
-        # rounds, so freshness is pure speed.
+        # The master run: Algorithm 4's own loop, plus the residual before
+        # each iteration and heapified (-ratio, row) bound templates taken
+        # every ``stride`` iterations.  Each replay copies the latest
+        # template at or before its start (an O(n) pointer memcpy) instead
+        # of rebuilding n tuples per winner, and gets bounds at most
+        # ``stride`` iterations stale — loose seeds are *correct* (capped
+        # gains only shrink) but cost pop-and-recompute rounds, so
+        # freshness is pure speed.
+        greedy = _CsrGreedy(instance, self.counters, tracer)
+        n = len(greedy.uids)
         self._ckpt_starts: list[int] = []
         self._ckpt_heaps: list[list] = []
-        ckpt_stride = 32
-        selected_rows: list[int] = []
-        iterations: list[GreedyIteration] = []
         snapshots: list[np.ndarray] = []
-        _MAX_CKPTS = 16
-
-        def _checkpoint(it: int) -> None:
-            template = list(zip((-ratios).tolist(), range(n)))
-            heapq.heapify(template)
-            self._ckpt_starts.append(it)
-            self._ckpt_heaps.append(template)
-
-        _checkpoint(0)
-        while (residual > _EPS).any():
-            it = len(selected_rows)
-            if it and it % ckpt_stride == 0:
-                _checkpoint(it)
+        stride = _CKPT_STRIDE
+        while greedy.is_open():
+            it = len(greedy.selected_rows)
+            if it % stride == 0:
+                template = list(zip((-greedy.ratios).tolist(), range(n)))
+                heapq.heapify(template)
+                self._ckpt_starts.append(it)
+                self._ckpt_heaps.append(template)
                 if len(self._ckpt_starts) > _MAX_CKPTS:
-                    ckpt_stride *= 2
+                    stride *= 2
                     keep = [
                         k
-                        for k, start in enumerate(self._ckpt_starts)
-                        if start % ckpt_stride == 0
+                        for k, ckpt in enumerate(self._ckpt_starts)
+                        if ckpt % stride == 0
                     ]
                     self._ckpt_starts = [self._ckpt_starts[k] for k in keep]
                     self._ckpt_heaps = [self._ckpt_heaps[k] for k in keep]
-            self.counters.greedy_iterations += 1
-            best_row = select_best_row(gains, ratios)
-            if best_row < 0:
-                if require_feasible:
-                    uncovered = frozenset(
-                        tid
-                        for k, tid in enumerate(self._task_ids)
-                        if residual[k] > _EPS
-                    )
-                    raise InfeasibleInstanceError(
-                        f"tasks {sorted(uncovered)} cannot reach their requirements",
-                        uncoverable_tasks=uncovered,
-                    )
+            residual_before = greedy.residual.copy()
+            if not greedy.step(require_feasible):
                 break
-            snapshots.append(residual.copy())
-            snapshot = positive_residual_snapshot(residual, self._task_ids)
-            iterations.append(
-                GreedyIteration(
-                    user_id=self._uids[best_row],
-                    residual_before=snapshot,
-                    gain=float(gains[best_row]),
-                    ratio=float(ratios[best_row]),
-                    cost=float(costs[best_row]),
-                )
-            )
-            if self.tracer is not None:
-                self.tracer.event(
-                    "greedy.select",
-                    user_id=self._uids[best_row],
-                    iteration=len(selected_rows),
-                    gain=float(gains[best_row]),
-                    ratio=float(ratios[best_row]),
-                    cost=float(costs[best_row]),
-                    residual_open=len(snapshot),
-                    residual_total=float(sum(snapshot.values())),
-                )
-            selected_rows.append(best_row)
-            active[best_row] = False
-            gains[best_row] = 0.0
-            ratios[best_row] = 0.0
+            snapshots.append(residual_before)
 
-            winner_cols = matrix.row_cols(best_row)
-            changed = winner_cols[residual[winner_cols] > 0.0]
-            winner_row = matrix.dense_row(best_row)
-            residual = np.maximum(0.0, residual - winner_row)
-            matrix.clear_row_buf(best_row)
-
-            affected = matrix.rows_touching(changed)
-            affected = affected[active[affected]]
-            if affected.size:
-                gains[affected] = matrix.gains(affected, residual)
-                ratios[affected] = gains[affected] / costs[affected]
-                self.counters.greedy_rows_recomputed += int(affected.size)
-
-        self._selected_rows = selected_rows
-        self._position = {self._uids[row]: m for m, row in enumerate(selected_rows)}
+        self._greedy = greedy
         self._snapshots = snapshots
-        self.trace = GreedyTrace(
-            selected=tuple(self._uids[row] for row in selected_rows),
-            iterations=tuple(iterations),
-            residual_after={
-                tid: float(residual[k]) for k, tid in enumerate(self._task_ids)
-            },
-            satisfied=bool((residual <= _EPS).all()),
-        )
+        self._row_of = {uid: row for row, uid in enumerate(greedy.uids)}
+        self._position = {
+            greedy.uids[row]: m for m, row in enumerate(greedy.selected_rows)
+        }
+        # Conservative bound for the early-exit cost floor: every
+        # counterfactual iteration's winner cost is ≤ this.
+        self._max_cost = float(greedy.costs.max()) if n else 0.0
+        self.trace = greedy.trace()
+
+    @property
+    def early_exit(self) -> bool:
+        """Whether replays may stop at the exit certificate: exactly when
+        ``method="threshold"`` (module docstring, lever 3)."""
+        return self.method == "threshold"
 
     # ------------------------------------------------------------------ #
     # Counterfactual replay
@@ -419,16 +306,16 @@ class BatchPricer:
         makes the certificate *more* conservative — never a wrong
         selection.
 
-        Stale entries are refreshed ``gain_batch`` at a time: the popped
-        stale row plus the run of stale entries at the heap top go through
-        one batched :meth:`ContributionMatrix.gains` call, re-enter the
-        heap at their exact ratios, and the loop re-pops.  Selection still
-        happens only through the ε-margin certificate or the reference
-        fallback scan, both of which are independent of refresh order, so
-        the replayed iterations do not change (see the module docstring,
+        Stale entries are refreshed up to 64 at a time: the popped stale
+        row plus the run of stale entries at the heap top go through one
+        batched :meth:`ContributionMatrix.gains` call, re-enter the heap at
+        their exact ratios, and the loop re-pops.  Selection still happens
+        only through the ε-margin certificate or the reference fallback
+        scan, both of which are independent of refresh order, so the
+        replayed iterations do not change (see the module docstring,
         lever 1).
 
-        When :attr:`early_exit` is on (``method="threshold"`` only), the
+        When :attr:`early_exit` is on (``method="threshold"``), the
         loop stops as soon as the priced user's tasks are all exactly
         covered, the cost floor holds, and the satisfaction certificate
         (:meth:`_exit_certificate`) proves the continuation would end
@@ -442,11 +329,12 @@ class BatchPricer:
         """
         clock = time.perf_counter if breakdown is not None else None
         residual = self._snapshots[start].copy()
-        matrix = self._matrix
-        costs = self._costs
-        n = len(self._uids)
+        greedy = self._greedy
+        matrix = greedy.matrix
+        costs = greedy.costs
+        n = len(greedy.uids)
         alive = np.ones(n, dtype=bool)
-        alive[self._selected_rows[:start]] = False
+        alive[greedy.selected_rows[:start]] = False
         alive[excluded_row] = False
         ckpt = bisect.bisect_right(self._ckpt_starts, start) - 1
         heap = self._ckpt_heaps[ckpt].copy()
@@ -461,7 +349,6 @@ class BatchPricer:
         iterations: list[GreedyIteration] = []
         executed = 0
         fallback = object()
-        gain_batch = self.gain_batch
         # Early-exit arming: condition (b), the cost floor, is a per-replay
         # constant — every omitted candidate's required_gain then clears
         # the 1e-15 pricing corner (module docstring).
@@ -485,38 +372,32 @@ class BatchPricer:
                     continue
                 if not clean[row]:
                     t0 = clock() if clock else 0.0
-                    if gain_batch > 1:
-                        # Gather the run of stale alive entries at the top
-                        # (dead ones are dropped in passing; a clean one
-                        # ends the run — it is already exact).
-                        batch = [row]
-                        while heap and len(batch) < gain_batch:
-                            r2 = heap[0][1]
-                            if not alive[r2]:
-                                heapq.heappop(heap)
-                            elif clean[r2]:
-                                break
-                            else:
-                                heapq.heappop(heap)
-                                batch.append(r2)
-                        rows_arr = np.asarray(batch, dtype=np.int64)
-                        fresh = matrix.gains(rows_arr, residual)
-                        cached_gain[rows_arr] = fresh
-                        clean[rows_arr] = True
-                        counters.greedy_rows_recomputed += len(batch)
-                        if clock:
-                            gain_seconds += clock() - t0
-                        # Re-enter at exact ratios; rows whose gain fell to
-                        # ≤ ε can never become eligible again.
-                        for r2, g in zip(batch, fresh):
-                            if g > _EPS:
-                                heapq.heappush(heap, (-g / costs[r2], r2))
-                        continue
-                    cached_gain[row] = matrix.row_gain(row, residual)
+                    # Gather the run of stale alive entries at the top
+                    # (dead ones are dropped in passing; a clean one ends
+                    # the run — it is already exact).
+                    batch = [row]
+                    while heap and len(batch) < _GAIN_BATCH:
+                        r2 = heap[0][1]
+                        if not alive[r2]:
+                            heapq.heappop(heap)
+                        elif clean[r2]:
+                            break
+                        else:
+                            heapq.heappop(heap)
+                            batch.append(r2)
+                    rows_arr = np.asarray(batch, dtype=np.int64)
+                    fresh = matrix.gains(rows_arr, residual)
+                    cached_gain[rows_arr] = fresh
+                    clean[rows_arr] = True
+                    counters.greedy_rows_recomputed += len(batch)
                     if clock:
                         gain_seconds += clock() - t0
-                    clean[row] = True
-                    counters.greedy_rows_recomputed += 1
+                    # Re-enter at exact ratios; rows whose gain fell to
+                    # ≤ ε can never become eligible again.
+                    for r2, g in zip(batch, fresh):
+                        if g > _EPS:
+                            heapq.heappush(heap, (-g / costs[r2], r2))
+                    continue
                 gain = cached_gain[row]
                 if gain <= _EPS:
                     continue  # gains only shrink: permanently ineligible
@@ -554,8 +435,8 @@ class BatchPricer:
             row, gain, ratio = sel
             iterations.append(
                 GreedyIteration(
-                    user_id=self._uids[row],
-                    residual_before=_ResidualView(residual.copy(), self._task_index),
+                    user_id=greedy.uids[row],
+                    residual_before=_ResidualView(residual.copy(), greedy.task_index),
                     gain=float(gain),
                     ratio=float(ratio),
                     cost=float(costs[row]),
@@ -563,11 +444,7 @@ class BatchPricer:
             )
             alive[row] = False
             t0 = clock() if clock else 0.0
-            winner_cols = matrix.row_cols(row)
-            changed = winner_cols[residual[winner_cols] > 0.0]
-            winner_row = matrix.dense_row(row)
-            residual = np.maximum(0.0, residual - winner_row)
-            matrix.clear_row_buf(row)
+            changed = matrix.subtract_row(row, residual)
             if changed.size:
                 clean[matrix.rows_touching(changed)] = False
             if clock:
@@ -607,7 +484,7 @@ class BatchPricer:
         open_cols = np.flatnonzero(residual > _EPS)
         if open_cols.size == 0:
             return False
-        supply = self._matrix.column_supply(open_cols, alive, min_val=_EPS)
+        supply = self._greedy.matrix.column_supply(open_cols, alive, min_val=_EPS)
         need = residual[open_cols]
         return bool(np.all(supply >= need + 1e-9 * np.maximum(1.0, supply)))
 

@@ -48,7 +48,7 @@ import time
 
 import numpy as np
 
-from repro.core.critical import DEFAULT_TOLERANCE
+from repro.core.critical import DEFAULT_TOLERANCE, _bisect_boundary, _check_tolerance
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import (
     DEFAULT_EPSILON,
@@ -80,7 +80,8 @@ class SingleTaskPricer:
         instance: The declared single-task instance.
         epsilon: FPTAS approximation parameter (must match the one used for
             the real allocation, as in the reference search).
-        tolerance: Absolute stopping tolerance of the binary search.
+        tolerance: Absolute stopping tolerance of the binary search
+            (positive and finite, else :class:`ValidationError`).
         counters: Optional shared :class:`PerfCounters`.
         snapshot_cells: Memory budget (in DP cells) for prefix snapshots.
         tracer: Optional duck-typed :class:`repro.obs.tracing.Tracer`; when
@@ -104,6 +105,7 @@ class SingleTaskPricer:
     ):
         if epsilon <= 0 or not math.isfinite(epsilon):
             raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+        _check_tolerance(tolerance)
         self.instance = instance
         self.epsilon = float(epsilon)
         self.tolerance = tolerance
@@ -379,15 +381,12 @@ class SingleTaskPricer:
             # The user wins even contributing nothing; the boundary is at zero.
             return 0.0
 
-        low, high = 0.0, max(self.instance.requirement, declared)
         # By monotonicity (Lemma 1), wins(high) holds because high >= declared.
-        while high - low > self.tolerance:
-            mid = 0.5 * (low + high)
-            if self._wins(user_id, rank, mid):
-                high = mid
-            else:
-                low = mid
-        return high
+        return _bisect_boundary(
+            lambda q: self._wins(user_id, rank, q),
+            max(self.instance.requirement, declared),
+            self.tolerance,
+        )
 
     def price_all(self, user_ids) -> dict[int, float]:
         """Critical contributions for a set of winners, keyed in ascending id

@@ -1,10 +1,11 @@
 """ContributionMatrix: bit-parity with the dense layout, chunking, indexes.
 
 The float-parity contract (module docstring of
-:mod:`repro.core.contrib_matrix`) is that :meth:`gains`/:meth:`row_gain`
-reproduce the dense kernel's full-width ``np.minimum(..., residual)``
-reductions bit for bit — including when the scratch buffer forces chunked
-processing — and that the stored values are the very floats
+:mod:`repro.core.contrib_matrix`) is that :meth:`gains` reproduces the
+dense kernel's full-width ``np.minimum(..., residual)`` reductions bit for
+bit — including when the scratch buffer forces chunked processing — that
+:meth:`subtract_row` reproduces its ``np.maximum(0.0, residual - row)``
+update byte for byte, and that the stored values are the very floats
 ``UserType.contribution`` returns.
 """
 
@@ -33,9 +34,11 @@ def _build(rng, n_users=30, n_tasks=7, scratch_cells=None):
 
 def test_values_are_the_reference_contribution_floats(rng):
     matrix, dense, users = _build(rng)
+    rebuilt = np.zeros_like(dense)
     for row in range(len(users)):
-        np.testing.assert_array_equal(matrix.dense_row(row), dense[row])
-        matrix.clear_row_buf(row)
+        start, stop = matrix.indptr[row], matrix.indptr[row + 1]
+        rebuilt[row, matrix.row_cols(row)] = matrix.vals[start:stop]
+    np.testing.assert_array_equal(rebuilt, dense)
     assert matrix.nnz == int((dense > 0).sum())
 
 
@@ -45,8 +48,29 @@ def test_gains_bit_identical_to_dense_reduction(rng):
     rows = np.arange(len(users), dtype=np.int64)
     expected = np.minimum(dense, residual[None, :]).sum(axis=1)
     np.testing.assert_array_equal(matrix.gains(rows, residual), expected)
+    # One-row calls (a replay's refresh batch can hold a single row).
     for row in range(len(users)):
-        assert matrix.row_gain(row, residual) == expected[row]
+        assert matrix.gains(np.array([row]), residual)[0] == expected[row]
+
+
+def test_subtract_row_equals_dense_update(rng):
+    """The in-place residual update is byte-equal to the dense oracle's
+    ``np.maximum(0.0, residual - dense[row])`` and returns exactly the
+    row's columns that were open before it: residuals above, below and
+    equal to the row's values, and exact zeros."""
+    matrix, dense, users = _build(rng)
+    for trial in range(200):
+        residual = rng.uniform(0.0, 1.5, size=dense.shape[1])
+        residual[rng.random(dense.shape[1]) < 0.3] = 0.0
+        row = int(rng.integers(len(users)))
+        declared = np.flatnonzero(dense[row])
+        if trial % 4 == 0 and declared.size:  # residual equal to the row's value
+            residual[declared[0]] = dense[row, declared[0]]
+        expected = np.maximum(0.0, residual - dense[row])
+        open_cols = [int(j) for j in declared if residual[j] > 0.0]
+        moved = matrix.subtract_row(row, residual)
+        assert residual.tobytes() == expected.tobytes()
+        assert sorted(moved.tolist()) == open_cols
 
 
 def test_gains_chunked_by_tiny_scratch_matches_unchunked(rng):
@@ -63,8 +87,7 @@ def test_scratch_restored_after_gains(rng):
     matrix, dense, _ = _build(rng)
     residual = rng.uniform(0.5, 2.0, size=dense.shape[1])
     matrix.gains(np.arange(matrix.n_rows, dtype=np.int64), residual)
-    scratch, row_buf = matrix._scratch_bufs()
-    assert not scratch.any() and not row_buf.any()
+    assert not matrix._scratch().any()
 
 
 def test_rows_touching_matches_dense_columns(rng):

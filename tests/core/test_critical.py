@@ -7,16 +7,26 @@ from repro.core.baselines import exhaustive_single_task
 from repro.core.critical import (
     critical_contribution_multi,
     critical_contribution_single,
+    price_from_iterations,
 )
-from repro.core.errors import CriticalBidError
+from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import fptas_min_knapsack
 from repro.core.greedy import greedy_allocation
 from repro.core.transforms import pos_to_contribution
-from repro.core.types import AuctionInstance, Task, UserType
+from repro.core.types import AuctionInstance, SingleTaskInstance, Task, UserType
 
 from ..conftest import make_random_multi_task, make_random_single_task
 
 EPSILON = 0.5
+
+#: User 1 wins ({1, 2} at cost 3) and keeps winning down to q ≈ 0.1, where
+#: {1, 3} (cost 4) still beats {2, 3} (cost 5): her critical bid is ≈ 0.1.
+THREE_USERS = SingleTaskInstance(
+    requirement=1.0,
+    user_ids=(1, 2, 3),
+    costs=(1.0, 2.0, 3.0),
+    contributions=(0.6, 0.7, 0.9),
+)
 
 
 class TestCriticalSingle:
@@ -74,6 +84,30 @@ class TestCriticalSingle:
         )
         assert abs(coarse - fine) <= 1e-3 + 1e-9
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_bad_tolerance_rejected(self, tolerance):
+        """At zero or below the bisection would never end; NaN would end it
+        before the first probe, pricing at the bracket top (1.0 for a
+        critical bid of 0.1)."""
+        with pytest.raises(ValidationError, match="tolerance"):
+            critical_contribution_single(
+                THREE_USERS, 1, epsilon=EPSILON, tolerance=tolerance
+            )
+
+    @pytest.mark.parametrize("tolerance", [1e-17, 1e-20])
+    def test_tolerance_below_float_spacing_ends(self, tolerance):
+        """Once the bracket ends are adjacent floats the midpoint equals one
+        of them; the search stops there instead of looping forever."""
+        q_bar = critical_contribution_single(
+            THREE_USERS, 1, epsilon=EPSILON, tolerance=tolerance
+        )
+        assert q_bar == pytest.approx(0.1, abs=1e-8)
+        # The finer search continues inside the coarser one's last bracket.
+        coarse = critical_contribution_single(
+            THREE_USERS, 1, epsilon=EPSILON, tolerance=1e-15
+        )
+        assert coarse - 1e-15 <= q_bar <= coarse
+
     def test_custom_allocator(self, paper_example):
         """Pricing against the exact optimum instead of the FPTAS."""
         exact = lambda inst: exhaustive_single_task(inst).selected
@@ -119,8 +153,28 @@ class TestCriticalMulti:
         assert q_bar == pytest.approx(min(candidates))
 
     def test_unknown_method_rejected(self, small_multi_task):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             critical_contribution_multi(small_multi_task, 1, method="bogus")
+
+    @pytest.mark.parametrize("method", ["Paper", "bogus"])
+    def test_price_from_iterations_rejects_unknown_method(self, method):
+        """A misspelt method must not fall through to the threshold rule:
+        user 2 of the MultiTaskMechanism docstring instance would get 0.0
+        for "Paper", where "paper" prices her at 0.2231."""
+        instance = AuctionInstance(
+            tasks=[Task(0, 0.6), Task(1, 0.6)],
+            users=[
+                UserType(1, cost=2.0, pos={0: 0.5, 1: 0.5}),
+                UserType(2, cost=1.5, pos={0: 0.6}),
+                UserType(3, cost=1.5, pos={1: 0.6}),
+            ],
+        )
+        user = instance.user_by_id(2)
+        trace = greedy_allocation(instance.without_user(2), require_feasible=False)
+        paper = price_from_iterations(user, trace.iterations, trace.satisfied, "paper")
+        assert paper == pytest.approx(0.2231, abs=1e-4)
+        with pytest.raises(ValidationError, match="method"):
+            price_from_iterations(user, trace.iterations, trace.satisfied, method)
 
     def test_pivotal_user_with_no_competitors(self):
         instance = AuctionInstance(

@@ -43,9 +43,27 @@ def test_prices_match_reference_for_all_users(instance, method):
 @settings(deadline=None, max_examples=40)
 @given(instance=multi_task_instances())
 def test_master_trace_equals_greedy_allocation(instance):
-    """The pricer's own winner determination is the vectorised greedy, verbatim."""
-    assert BatchPricer(instance, require_feasible=False).trace == greedy_allocation(
-        instance, require_feasible=False
+    """The pricer's master run is greedy_allocation's loop: the same trace,
+    the same work counters and the same ``greedy.select`` audit events."""
+    pricer_counters, greedy_counters = PerfCounters(), PerfCounters()
+    pricer_tracer, greedy_tracer = _RecordingTracer(), _RecordingTracer()
+    pricer = BatchPricer(
+        instance,
+        counters=pricer_counters,
+        require_feasible=False,
+        tracer=pricer_tracer,
+    )
+    trace = greedy_allocation(
+        instance,
+        require_feasible=False,
+        counters=greedy_counters,
+        tracer=greedy_tracer,
+    )
+    assert pricer.trace == trace
+    assert pricer_counters == greedy_counters
+    assert pricer_tracer.events == greedy_tracer.events
+    assert [name for name, _ in greedy_tracer.events] == ["greedy.select"] * len(
+        trace.selected
     )
 
 
@@ -160,16 +178,6 @@ def test_rejects_unknown_method(small_multi_task):
         BatchPricer(small_multi_task, method="bogus")
 
 
-def test_rejects_invalid_gain_batch(small_multi_task):
-    with pytest.raises(ValidationError):
-        BatchPricer(small_multi_task, gain_batch=0)
-
-
-def test_rejects_early_exit_for_paper_method(small_multi_task):
-    with pytest.raises(ValidationError, match="unsound"):
-        BatchPricer(small_multi_task, method="paper", early_exit=True)
-
-
 def test_paper_method_never_takes_the_exit_path(rng):
     instance = make_random_multi_task(rng, n_users=30, n_tasks=5)
     counters = PerfCounters()
@@ -183,24 +191,14 @@ def test_paper_method_never_takes_the_exit_path(rng):
 
 def test_early_exit_fires_and_keeps_parity(rng):
     """On a winners-heavy instance the certificate fires, and prices still
-    equal both the unexited engine and the reference loop."""
+    equal the reference loop (whose full reruns never exit)."""
     instance = make_random_multi_task(rng, n_users=40, n_tasks=5)
     counters = PerfCounters()
     pricer = BatchPricer(instance, counters=counters, require_feasible=False)
     exited = pricer.price_all()
-    plain = BatchPricer(instance, early_exit=False, require_feasible=False).price_all()
-    assert exited == plain
-    for uid in list(pricer.trace.selected)[:5]:
+    assert counters.pricing_early_exits > 0
+    for uid in pricer.trace.selected:
         assert exited[uid] == critical_contribution_multi(instance, uid, "threshold")
-
-
-def test_scalar_gain_path_parity(rng):
-    """gain_batch=1 keeps the pre-batching scalar recompute path alive and
-    bit-identical (it is the W-sweep benchmark's baseline configuration)."""
-    instance = make_random_multi_task(rng, n_users=30, n_tasks=5)
-    batched = BatchPricer(instance, require_feasible=False).price_all()
-    scalar = BatchPricer(instance, gain_batch=1, require_feasible=False).price_all()
-    assert scalar == batched
 
 
 def test_tiny_cost_winner_disarms_exit_but_keeps_parity():

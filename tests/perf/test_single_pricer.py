@@ -15,6 +15,7 @@ from repro.core.critical import critical_contribution_single
 from repro.core.errors import CriticalBidError, ValidationError
 from repro.core.fptas import MAX_DP_CELLS, fptas_min_knapsack
 from repro.core.kernels import resolve_kernel
+from repro.core.single_task import SingleTaskMechanism
 from repro.core.types import SingleTaskInstance
 from repro.perf import PerfCounters, SingleTaskPricer, critical_contribution_single_fast
 
@@ -121,6 +122,37 @@ def test_rejects_invalid_epsilon(small_single_task):
         SingleTaskPricer(small_single_task, epsilon=0.0)
     with pytest.raises(ValidationError):
         SingleTaskPricer(small_single_task, epsilon=float("nan"))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+def test_rejects_invalid_tolerance(small_single_task, tolerance):
+    """At zero or below the bisection would never end; NaN would end it
+    before the first probe, pricing every winner at the bracket top."""
+    with pytest.raises(ValidationError, match="tolerance"):
+        SingleTaskPricer(small_single_task, epsilon=EPSILON, tolerance=tolerance)
+    with pytest.raises(ValidationError, match="tolerance"):
+        SingleTaskMechanism(tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [1e-17, 1e-20])
+def test_tolerance_below_float_spacing_matches_reference(tolerance):
+    """Below the float spacing the bisection ends on adjacent bracket ends,
+    by the same rule in both searches, so their prices stay equal."""
+    instance = SingleTaskInstance(
+        requirement=1.0,
+        user_ids=(1, 2, 3),
+        costs=(1.0, 2.0, 3.0),
+        contributions=(0.6, 0.7, 0.9),
+    )
+    winners = sorted(fptas_min_knapsack(instance, EPSILON).selected)
+    fast = SingleTaskPricer(instance, epsilon=EPSILON, tolerance=tolerance).price_all(
+        winners
+    )
+    assert fast == {
+        uid: critical_contribution_single(instance, uid, EPSILON, tolerance=tolerance)
+        for uid in winners
+    }
+    assert fast[1] == pytest.approx(0.1, abs=1e-8)
 
 
 def _dp_bomb() -> SingleTaskInstance:

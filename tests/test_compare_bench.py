@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from benchmarks.compare_bench import (
     load_records,
     main,
 )
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def dump(records: dict) -> dict:
@@ -341,6 +345,14 @@ class TestHistoryMode:
         bad.write_text(json.dumps(dump({"pricing_w_sweep_n100": self._w_sweep(2.0, 3.0)})))
         assert main([str(bad), "--history", str(ledger)]) == 1
         assert "pricing_w_sweep_n100@n=100" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in REPO_ROOT.glob("BENCH_*.json"))
+    )
+    def test_checked_in_dump_passes_history_gate(self, name):
+        """Every committed dump holds at least 0.8x the best speedup the
+        checked-in ledger has for each of its keys."""
+        assert main([str(REPO_ROOT / name), "--history"]) == 0
 
     def test_history_rejects_two_dumps(self, tmp_path, capsys):
         ledger = self._ledger(tmp_path, [2.0])
