@@ -58,19 +58,29 @@ HISTORY_PATH = Path(__file__).parent / "results" / "history.jsonl"
 
 
 def git_sha(repo_dir: str | Path | None = None) -> str | None:
-    """The current commit SHA, or ``None`` outside a git checkout."""
+    """The current commit SHA, or ``None`` outside a git checkout.
+
+    A tree with uncommitted changes to tracked files is stamped
+    ``<sha>-dirty``: what it measured is not that commit's code.
+    """
+    cwd = repo_dir if repo_dir is not None else Path(__file__).parent
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=repo_dir if repo_dir is not None else Path(__file__).parent,
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True, text=True, timeout=10
+        )
+        sha = head.stdout.strip()
+        if head.returncode != 0 or not sha:
+            return None
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return f"{sha}-dirty" if status.stdout.strip() else sha
 
 
 def append_history(

@@ -89,10 +89,9 @@ def cell_popularity(
     """The ``top`` most-visited cells as (cell id, visit count)."""
     if top <= 0:
         raise ValidationError(f"top must be positive, got {top!r}")
-    counter: Counter[int] = Counter()
-    for record in records:
-        counter[grid.cell_of(record.lon, record.lat)] += 1
-    return counter.most_common(top)
+    records = list(records)
+    cells = grid.cells_of([r.lon for r in records], [r.lat for r in records])
+    return Counter(cells.tolist()).most_common(top)
 
 
 def revisit_rate(sequences: dict[int, list[int]]) -> float:

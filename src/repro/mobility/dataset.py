@@ -9,9 +9,10 @@ evaluation of prediction accuracy (§IV-B).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from ..core.errors import ValidationError
 from .grid import CityGrid
@@ -34,22 +35,26 @@ def sequences_from_records(
 ) -> dict[int, list[int]]:
     """Per-taxi time-ordered cell sequences.
 
-    Consecutive duplicate cells are collapsed: staying put is not a
-    transition the mobility model should count.
+    Taxis appear in the order of their first record.  Consecutive duplicate
+    cells are collapsed: staying put is not a transition the mobility model
+    should count.
     """
-    by_taxi: dict[int, list[tuple[float, int]]] = defaultdict(list)
-    for record in records:
-        cell = grid.cell_of(record.lon, record.lat)
-        by_taxi[record.taxi_id].append((record.timestamp, cell))
-    sequences: dict[int, list[int]] = {}
-    for taxi_id, events in by_taxi.items():
-        events.sort()
-        cells: list[int] = []
-        for _, cell in events:
-            if not cells or cells[-1] != cell:
-                cells.append(cell)
-        sequences[taxi_id] = cells
-    return sequences
+    records = list(records)
+    if not records:
+        return {}
+    cells = grid.cells_of([r.lon for r in records], [r.lat for r in records])
+    taxi_list = [r.taxi_id for r in records]
+    taxi_ids = np.array(taxi_list)
+    timestamps = np.array([r.timestamp for r in records], dtype=np.float64)
+    # Grouped by taxi, each taxi's events in the order that sorting its
+    # (timestamp, cell) pairs gives; then drop each repeat of the cell before.
+    order = np.lexsort((cells, timestamps, taxi_ids))
+    taxi_ids, cells = taxi_ids[order], cells[order]
+    new_taxi = np.r_[True, taxi_ids[1:] != taxi_ids[:-1]]
+    keep = new_taxi | np.r_[True, cells[1:] != cells[:-1]]
+    taxi_ids, cells, starts = taxi_ids[keep], cells[keep], np.flatnonzero(new_taxi[keep])
+    by_taxi = dict(zip(taxi_ids[starts].tolist(), np.split(cells, starts[1:])))
+    return {taxi: by_taxi[taxi].tolist() for taxi in dict.fromkeys(taxi_list)}
 
 
 def split_sequences(

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 from ..core.errors import ValidationError
 
@@ -35,7 +39,7 @@ class CityGrid:
         cell_km: Cell edge length in kilometres (paper: 2 km).
 
     Cell ids are row-major: ``cell = row * n_cols + col`` with row 0 at the
-    southern edge.
+    southern edge.  The derived sizes are computed once per instance.
     """
 
     lon_min: float = SHANGHAI_BBOX[0]
@@ -50,22 +54,22 @@ class CityGrid:
         if self.cell_km <= 0:
             raise ValidationError(f"cell_km must be positive, got {self.cell_km!r}")
 
-    @property
+    @cached_property
     def _km_per_deg_lon(self) -> float:
         mid_lat = 0.5 * (self.lat_min + self.lat_max)
         return _KM_PER_DEG_LAT * math.cos(math.radians(mid_lat))
 
-    @property
+    @cached_property
     def n_cols(self) -> int:
         width_km = (self.lon_max - self.lon_min) * self._km_per_deg_lon
         return max(1, math.ceil(width_km / self.cell_km))
 
-    @property
+    @cached_property
     def n_rows(self) -> int:
         height_km = (self.lat_max - self.lat_min) * _KM_PER_DEG_LAT
         return max(1, math.ceil(height_km / self.cell_km))
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return self.n_cols * self.n_rows
 
@@ -80,6 +84,28 @@ class CityGrid:
         row = int((lat - self.lat_min) * _KM_PER_DEG_LAT / self.cell_km)
         col = min(col, self.n_cols - 1)  # points exactly on the max edge
         row = min(row, self.n_rows - 1)
+        return row * self.n_cols + col
+
+    def cells_of(
+        self, lon: Sequence[float] | np.ndarray, lat: Sequence[float] | np.ndarray
+    ) -> np.ndarray:
+        """:meth:`cell_of` over arrays of coordinates, as an int64 array.
+
+        The same float expression, truncation and edge clamp per point, so
+        ``cells_of(lon, lat)[i] == cell_of(lon[i], lat[i])``; raises on the
+        first point that :meth:`cell_of` would reject (out of box or NaN).
+        """
+        lon = np.asarray(lon, dtype=np.float64)
+        lat = np.asarray(lat, dtype=np.float64)
+        inside = (self.lon_min <= lon) & (lon <= self.lon_max)
+        inside &= (self.lat_min <= lat) & (lat <= self.lat_max)
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            raise ValidationError(f"point ({lon[bad]}, {lat[bad]}) outside the grid bounding box")
+        col = ((lon - self.lon_min) * self._km_per_deg_lon / self.cell_km).astype(np.int64)
+        row = ((lat - self.lat_min) * _KM_PER_DEG_LAT / self.cell_km).astype(np.int64)
+        np.minimum(col, self.n_cols - 1, out=col)
+        np.minimum(row, self.n_rows - 1, out=row)
         return row * self.n_cols + col
 
     def _check_cell(self, cell: int) -> None:
@@ -102,6 +128,29 @@ class CityGrid:
         row_a, col_a = self.row_col(cell_a)
         row_b, col_b = self.row_col(cell_b)
         return self.cell_km * math.hypot(row_a - row_b, col_a - col_b)
+
+    @cached_property
+    def _km_by_offset(self) -> np.ndarray:
+        # math.hypot, not np.hypot: the two differ in the last ulp on some
+        # offsets, and distance_matrix must equal distance_km exactly.
+        return np.array(
+            [
+                [self.cell_km * math.hypot(dr, dc) for dc in range(self.n_cols)]
+                for dr in range(self.n_rows)
+            ]
+        )
+
+    def distance_matrix(self, cells: Sequence[int]) -> np.ndarray:
+        """Pairwise :meth:`distance_km` of ``cells``: ``out[i, j]`` is the
+        distance from ``cells[i]`` to ``cells[j]``, bit for bit."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.size:
+            self._check_cell(int(cells.min()))
+            self._check_cell(int(cells.max()))
+        rows, cols = np.divmod(cells, self.n_cols)
+        return self._km_by_offset[
+            np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])
+        ]
 
     def neighborhood(self, cell: int, radius_cells: int) -> list[int]:
         """Cell ids within a square Chebyshev radius (including ``cell``)."""

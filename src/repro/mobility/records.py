@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -40,8 +41,8 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if self.taxi_id < 0:
             raise ValidationError(f"taxi_id must be >= 0, got {self.taxi_id!r}")
-        if self.timestamp < 0:
-            raise ValidationError(f"timestamp must be >= 0, got {self.timestamp!r}")
+        if not (0 <= self.timestamp < math.inf):
+            raise ValidationError(f"timestamp must be finite and >= 0, got {self.timestamp!r}")
 
 
 _HEADER = ["taxi_id", "timestamp", "lon", "lat", "event"]

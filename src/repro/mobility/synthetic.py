@@ -19,6 +19,8 @@ compare learned estimates against the truth.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +80,12 @@ class FleetConfig:
             raise ValidationError(f"n_taxis must be positive, got {self.n_taxis!r}")
         if self.events_per_taxi < 2:
             raise ValidationError("events_per_taxi must be at least 2")
-        if self.row_dirichlet <= 0:
-            raise ValidationError("row_dirichlet must be positive")
+        if self.n_hotspots < 0:
+            raise ValidationError(f"n_hotspots must be >= 0, got {self.n_hotspots!r}")
+        for name in ("hotspot_scale_km", "locality_scale_km", "row_dirichlet", "mean_headway_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,12 @@ class SyntheticTaxiFleet:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self._attraction = self._build_attraction(rng)
+        home_cells = self._home_cells()
+        home_weights = self._attraction[home_cells]
+        home_p = home_weights / home_weights.sum()
         self.ground_truth: dict[int, TaxiGroundTruth] = {}
         for taxi_id in range(self.config.n_taxis):
-            self.ground_truth[taxi_id] = self._build_taxi(taxi_id, rng)
+            self.ground_truth[taxi_id] = self._build_taxi(taxi_id, home_cells, home_p, rng)
 
     # ------------------------------------------------------------------ #
     # Ground-truth construction
@@ -148,29 +157,28 @@ class SyntheticTaxiFleet:
         center = center_row * self.grid.n_cols + center_col
         return self.grid.neighborhood(center, self.config.region_radius_cells)
 
-    def _build_taxi(self, taxi_id: int, rng: np.random.Generator) -> TaxiGroundTruth:
-        home_cells = self._home_cells()
-        weights = np.array([self._attraction[c] for c in home_cells])
-        home = int(home_cells[int(rng.choice(len(home_cells), p=weights / weights.sum()))])
+    def _build_taxi(
+        self, taxi_id: int, home_cells: list[int], home_p: np.ndarray, rng: np.random.Generator
+    ) -> TaxiGroundTruth:
+        home = home_cells[int(rng.choice(len(home_cells), p=home_p))]
         neighborhood = self.grid.neighborhood(home, self.config.home_radius_cells)
         low, high = self.config.support_size_range
         size = min(int(rng.integers(low, high + 1)), len(neighborhood))
-        local_attraction = np.array([self._attraction[c] for c in neighborhood])
+        local_attraction = self._attraction[neighborhood]
         probs = local_attraction / local_attraction.sum()
         chosen = rng.choice(len(neighborhood), size=size, replace=False, p=probs)
         support = tuple(sorted(neighborhood[i] for i in chosen))
 
+        # Locality kernel times a Dirichlet draw: nearby cells are more
+        # likely, and the Dirichlet skews each row so a handful of
+        # destinations carry most of the mass (Figure 3/4 calibration).
+        # One size-l draw is the same stream as l single-row draws.
         l = len(support)
-        matrix = np.empty((l, l))
-        for i, from_cell in enumerate(support):
-            # Locality kernel times a Dirichlet draw: nearby cells are more
-            # likely, and the Dirichlet skews the row so a handful of
-            # destinations carry most of the mass (Figure 3/4 calibration).
-            dist = np.array([self.grid.distance_km(from_cell, to) for to in support])
-            kernel = np.exp(-dist / self.config.locality_scale_km)
-            random_part = rng.dirichlet(np.full(l, self.config.row_dirichlet))
-            row = kernel * (random_part + 1e-4)
-            matrix[i] = row / row.sum()
+        kernel = np.exp(-self.grid.distance_matrix(support) / self.config.locality_scale_km)
+        random_part = rng.dirichlet(np.full(l, self.config.row_dirichlet), size=l)
+        matrix = kernel * (random_part + 1e-4)
+        for row in matrix:
+            row /= row.sum()
         return TaxiGroundTruth(taxi_id=taxi_id, support=support, transition_matrix=matrix)
 
     # ------------------------------------------------------------------ #
@@ -178,41 +186,56 @@ class SyntheticTaxiFleet:
     # ------------------------------------------------------------------ #
 
     def walk(self, taxi_id: int, n_steps: int, rng: np.random.Generator) -> list[int]:
-        """Sample a cell sequence of length ``n_steps`` from the true chain."""
-        truth = self.ground_truth[taxi_id]
-        l = len(truth.support)
-        current = int(rng.integers(l))
-        path = [truth.support[current]]
-        for _ in range(n_steps - 1):
-            current = int(rng.choice(l, p=truth.transition_matrix[current]))
-            path.append(truth.support[current])
-        return path
+        """Sample a cell sequence of length ``n_steps`` from the true chain.
 
-    def _jittered_point(self, cell: int, rng: np.random.Generator) -> tuple[float, float]:
-        """A random point inside the cell (events are not at cell centres)."""
-        lon, lat = self.grid.center_of(cell)
-        half_lon = 0.45 * self.grid.cell_km / self.grid._km_per_deg_lon
-        half_lat = 0.45 * self.grid.cell_km / 111.32
-        lon = float(np.clip(lon + rng.uniform(-half_lon, half_lon), self.grid.lon_min, self.grid.lon_max))
-        lat = float(np.clip(lat + rng.uniform(-half_lat, half_lat), self.grid.lat_min, self.grid.lat_max))
-        return lon, lat
+        Consumes ``rng`` exactly as one ``rng.choice(l, p=row)`` per step
+        would: one double per step, searched in the row's normalised
+        cumulative sum.
+        """
+        if n_steps < 1:
+            raise ValidationError(f"n_steps must be >= 1, got {n_steps!r}")
+        truth = self.ground_truth[taxi_id]
+        support = truth.support
+        cdf = truth.transition_matrix.cumsum(axis=1)
+        cdfs = (cdf / cdf[:, -1:]).tolist()
+        current = int(rng.integers(len(support)))
+        path = [support[current]]
+        for u in rng.random(n_steps - 1).tolist():
+            current = bisect_right(cdfs[current], u)
+            path.append(support[current])
+        return path
 
     def generate_records(self) -> list[TraceRecord]:
         """Emit the full fleet trace, time-ordered per taxi.
 
         Events alternate pickup/dropoff along each taxi's Markov walk, with
-        exponential headways, mirroring the real dataset's structure.
+        exponential headways, mirroring the real dataset's structure.  Each
+        event lies at a random point inside its cell, not at the centre.
         """
+        grid = self.grid
+        headway = self.config.mean_headway_s
+        # Per event, rng.uniform(-half, half) twice and rng.exponential(headway),
+        # written as numpy's own formulas over single draws (same stream).
+        half_lon = 0.45 * grid.cell_km / grid._km_per_deg_lon
+        half_lat = 0.45 * grid.cell_km / 111.32
+        span_lon = half_lon - -half_lon
+        span_lat = half_lat - -half_lat
+        centers = {
+            cell: grid.center_of(cell)
+            for truth in self.ground_truth.values()
+            for cell in truth.support
+        }
+        events = (EventType.PICKUP, EventType.DROPOFF)
         records: list[TraceRecord] = []
         rng = np.random.default_rng(self.seed + 1)  # independent of chain construction
+        random, standard_exponential = rng.random, rng.standard_exponential
         for taxi_id in range(self.config.n_taxis):
             path = self.walk(taxi_id, self.config.events_per_taxi, rng)
-            time = float(rng.uniform(0, self.config.mean_headway_s))
+            time = float(rng.uniform(0, headway))
             for step, cell in enumerate(path):
-                lon, lat = self._jittered_point(cell, rng)
-                event = EventType.PICKUP if step % 2 == 0 else EventType.DROPOFF
-                records.append(
-                    TraceRecord(taxi_id=taxi_id, timestamp=time, lon=lon, lat=lat, event=event)
-                )
-                time += float(rng.exponential(self.config.mean_headway_s))
+                lon, lat = centers[cell]
+                lon = min(max(lon + (-half_lon + span_lon * random()), grid.lon_min), grid.lon_max)
+                lat = min(max(lat + (-half_lat + span_lat * random()), grid.lat_min), grid.lat_max)
+                records.append(TraceRecord(taxi_id, time, lon, lat, events[step % 2]))
+                time += headway * standard_exponential()
         return records

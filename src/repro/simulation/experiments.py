@@ -248,7 +248,8 @@ _TESTBED_CACHE: dict[tuple, Testbed] = {}
 def default_testbed(
     n_taxis: int = 250, seed: int = 42, kind: str = "dense"
 ) -> Testbed:
-    """Process-cached standard testbed (building one takes a few seconds)."""
+    """Process-cached standard testbed (a 250-taxi build takes 0.4–0.8 s on a
+    2-core host)."""
     key = (n_taxis, seed, kind)
     if key not in _TESTBED_CACHE:
         _TESTBED_CACHE[key] = build_testbed(n_taxis=n_taxis, seed=seed, kind=kind)

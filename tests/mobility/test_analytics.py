@@ -1,5 +1,7 @@
 """Tests for the trace analytics module."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import ValidationError
@@ -78,6 +80,11 @@ class TestCellPopularity:
         fleet, records = fleet_records
         everything = cell_popularity(records, fleet.grid, top=10_000)
         assert sum(count for _, count in everything) == len(records)
+
+    def test_equals_per_record_cell_of(self, fleet_records):
+        fleet, records = fleet_records
+        expected = Counter(fleet.grid.cell_of(r.lon, r.lat) for r in records)
+        assert cell_popularity(records, fleet.grid, top=10_000) == expected.most_common(10_000)
 
     def test_bad_top_rejected(self, fleet_records):
         fleet, records = fleet_records

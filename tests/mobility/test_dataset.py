@@ -1,5 +1,6 @@
 """Tests for dataset assembly: records → sequences → train/test splits."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ValidationError
@@ -50,6 +51,54 @@ class TestSequences:
 
     def test_empty_input(self):
         assert sequences_from_records([], CityGrid()) == {}
+
+    def test_equals_per_taxi_tuple_sort(self):
+        """Shuffled records with tied timestamps, against the per-taxi sort
+        of (timestamp, cell) pairs the array path replaced."""
+        grid = CityGrid()
+        rng = np.random.default_rng(8)
+        records = [
+            TraceRecord(
+                int(rng.integers(6)),
+                float(rng.integers(20)),
+                *grid.center_of(int(rng.choice([100, 101, 102, 150]))),
+                EventType.PICKUP,
+            )
+            for _ in range(400)
+        ]
+        expected: dict[int, list[int]] = {}
+        for record in records:
+            expected.setdefault(record.taxi_id, []).append(
+                (record.timestamp, grid.cell_of(record.lon, record.lat))
+            )
+        for taxi_id, events in expected.items():
+            cells = [cell for _, cell in sorted(events)]
+            expected[taxi_id] = [c for i, c in enumerate(cells) if i == 0 or cells[i - 1] != c]
+        sequences = sequences_from_records(iter(records), grid)
+        assert sequences == expected
+        assert list(sequences) == list(expected)
+
+    def test_taxis_in_first_appearance_order(self):
+        grid = CityGrid()
+        lon, lat = grid.center_of(100)
+        records = [
+            TraceRecord(taxi, float(t), lon, lat, EventType.PICKUP)
+            for t, taxi in enumerate([5, 2, 5, 9, 2])
+        ]
+        assert list(sequences_from_records(records, grid)) == [5, 2, 9]
+
+    @pytest.mark.parametrize(
+        "point", [(float("nan"), 31.2), (121.4, float("nan")), (120.0, 31.2)]
+    )
+    def test_unmappable_point_rejected(self, point):
+        grid = CityGrid()
+        lon, lat = grid.center_of(100)
+        records = [
+            TraceRecord(0, 0.0, lon, lat, EventType.PICKUP),
+            TraceRecord(0, 1.0, *point, EventType.DROPOFF),
+        ]
+        with pytest.raises(ValidationError):
+            sequences_from_records(records, grid)
 
 
 class TestSplit:

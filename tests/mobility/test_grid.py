@@ -1,5 +1,6 @@
 """Tests for the city grid (2 km cells over Shanghai)."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ValidationError
@@ -55,6 +56,38 @@ class TestMapping:
         assert grid.cell_of(grid.lon_min, grid.lat_min) == 0
         assert grid.cell_of(grid.lon_max, grid.lat_max) == grid.n_cells - 1
 
+    @pytest.mark.parametrize("cell_km", [2.0, 0.7])
+    def test_array_mapping_equals_cell_of(self, cell_km):
+        grid = CityGrid(cell_km=cell_km)
+        rng = np.random.default_rng(3)
+        lon = rng.uniform(grid.lon_min, grid.lon_max, 2000).tolist()
+        lat = rng.uniform(grid.lat_min, grid.lat_max, 2000).tolist()
+        mid_lon = 0.5 * (grid.lon_min + grid.lon_max)
+        mid_lat = 0.5 * (grid.lat_min + grid.lat_max)
+        for edge_lon, edge_lat in [
+            (grid.lon_min, grid.lat_min),
+            (grid.lon_min, grid.lat_max),
+            (grid.lon_max, grid.lat_min),
+            (grid.lon_max, grid.lat_max),
+            (grid.lon_max, mid_lat),
+            (mid_lon, grid.lat_max),
+        ]:
+            lon.append(edge_lon)
+            lat.append(edge_lat)
+        cells = grid.cells_of(lon, lat)
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [grid.cell_of(x, y) for x, y in zip(lon, lat)]
+
+    @pytest.mark.parametrize(
+        "point", [(120.0, 31.0), (121.5, 30.0), (float("nan"), 31.0), (121.5, float("nan"))]
+    )
+    def test_array_mapping_rejects_what_cell_of_rejects(self, point):
+        grid = CityGrid()
+        with pytest.raises(ValidationError):
+            grid.cell_of(*point)
+        with pytest.raises(ValidationError):
+            grid.cells_of([121.5, point[0]], [31.2, point[1]])
+
     def test_bad_cell_id_rejected(self):
         grid = CityGrid()
         with pytest.raises(ValidationError):
@@ -87,6 +120,25 @@ class TestDistance:
         assert grid.distance_km(0, grid.n_cols + 1) == pytest.approx(
             grid.cell_km * 2**0.5
         )
+
+    def test_matrix_equals_distance_km(self):
+        """Every pair of a full row, a full column and the diagonal, by ==."""
+        grid = CityGrid()
+        row = [grid.n_cols * 3 + col for col in range(grid.n_cols)]
+        column = [r * grid.n_cols + 5 for r in range(grid.n_rows)]
+        diagonal = [d * grid.n_cols + d for d in range(min(grid.n_rows, grid.n_cols))]
+        cells = row + column + diagonal
+        matrix = grid.distance_matrix(cells)
+        assert matrix.shape == (len(cells), len(cells))
+        for i, a in enumerate(cells):
+            for j, b in enumerate(cells):
+                assert matrix[i, j] == grid.distance_km(a, b), (a, b)
+
+    def test_matrix_rejects_bad_cell(self):
+        grid = CityGrid()
+        for bad in (-1, grid.n_cells):
+            with pytest.raises(ValidationError):
+                grid.distance_matrix([0, bad])
 
 
 class TestNeighborhood:

@@ -33,6 +33,11 @@ class TestTraceRecord:
         with pytest.raises(ValidationError):
             TraceRecord(1, -5.0, 121.4, 31.2, EventType.PICKUP)
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_rejected(self, timestamp):
+        with pytest.raises(ValidationError):
+            TraceRecord(1, timestamp, 121.4, 31.2, EventType.PICKUP)
+
     def test_event_type_values(self):
         assert EventType("pickup") is EventType.PICKUP
         assert EventType("dropoff") is EventType.DROPOFF
@@ -64,6 +69,12 @@ class TestCsvRoundtrip:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
+        with pytest.raises(ValidationError):
+            list(read_trace_csv(path))
+
+    def test_nan_timestamp_row_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("taxi_id,timestamp,lon,lat,event\n1,nan,121.4,31.2,pickup\n")
         with pytest.raises(ValidationError):
             list(read_trace_csv(path))
 

@@ -38,6 +38,22 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             FleetConfig(row_dirichlet=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["hotspot_scale_km", "locality_scale_km", "row_dirichlet", "mean_headway_s"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scales_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FleetConfig(**{field: value})
+
+    def test_negative_hotspot_count(self):
+        with pytest.raises(ValidationError, match="n_hotspots"):
+            FleetConfig(n_hotspots=-1)
+
+    def test_no_hotspots_allowed(self):
+        fleet = SyntheticTaxiFleet(CityGrid(), FleetConfig(n_taxis=2, n_hotspots=0), seed=1)
+        assert len(fleet.ground_truth) == 2
+
 
 class TestGroundTruth:
     def test_one_chain_per_taxi(self, small_fleet):
@@ -105,7 +121,32 @@ class TestGroundTruth:
                 assert grid.distance_km(center, cell) <= max_km + 1e-9
 
 
+def reference_walk(fleet, taxi_id, n_steps, rng):
+    """The per-step ``Generator.choice`` walk: the oracle for ``walk``."""
+    truth = fleet.ground_truth[taxi_id]
+    l = len(truth.support)
+    current = int(rng.integers(l))
+    path = [truth.support[current]]
+    for _ in range(n_steps - 1):
+        current = int(rng.choice(l, p=truth.transition_matrix[current]))
+        path.append(truth.support[current])
+    return path
+
+
 class TestWalks:
+    @pytest.mark.parametrize("n_steps", [1, 2, 400])
+    def test_walk_matches_choice_oracle(self, small_fleet, n_steps):
+        for taxi_id in (0, 7, 19):
+            fast_rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+            assert small_fleet.walk(taxi_id, n_steps, fast_rng) == reference_walk(
+                small_fleet, taxi_id, n_steps, oracle_rng
+            )
+            assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_empty_walk_rejected(self, small_fleet):
+        with pytest.raises(ValidationError):
+            small_fleet.walk(0, 0, np.random.default_rng(0))
+
     def test_walk_length(self, small_fleet):
         rng = np.random.default_rng(0)
         path = small_fleet.walk(0, 50, rng)
@@ -183,9 +224,11 @@ def dataset_digest(dataset) -> str:
     return h.hexdigest()
 
 
-#: SHA-256 of records, chains and dataset of ``build_testbed(n_taxis=30,
-#: seed=42, kind=k)``.  Fleet synthesis must keep every float op and RNG
-#: draw in its order, so a faster synthesis has to leave these unchanged.
+#: SHA-256 of records, chains and dataset of ``build_testbed(n_taxis=n,
+#: seed=42, kind=k)``, keyed ``k`` for n = 30 and ``k-n`` otherwise; 250 taxis
+#: is the size the CLI and the end-to-end benchmark build.  Fleet synthesis
+#: must keep every float op and RNG draw in its order, so a faster synthesis
+#: has to leave these unchanged.
 SYNTHESIS_DIGESTS = {
     "dense": (
         "160179e5839229196dfe99c1f1570d0462cebfcd3be832f45d56cb5f973934e7",
@@ -197,14 +240,25 @@ SYNTHESIS_DIGESTS = {
         "7cf1658c987557771f5d4d24b20c3d17b9a6cb11abde4849c40b5c67f4fef034",
         "ab061aad5c3b885cd9c851c7f895e682f82f1f54011e8c122f94bc71adea2533",
     ),
+    "dense-250": (
+        "4449ffa18e7705d5482d53300568dc95f66413502dc66c5a3ed639fe093dff64",
+        "62901631cbe4580772620e7e1559c353c889e9206f41b01dd9770a9ac7249c2d",
+        "6c4f36ff16bfae2e160fef7bc5ed283b2f55ce19009efb2ef17f77d7f14ca3f3",
+    ),
+    "citywide-250": (
+        "2cbd711276dc517ac5e4f6dc6dccce7c73d51a4ac4c7b8c243483a0faf002674",
+        "b9f952f8cc142b3e86fcf1b89630c608453d9dba669a8173970d6ba923c0814a",
+        "79728973be126ab22b9df0013b9a80a977eae6221e6f8b2a36983697bbe09d83",
+    ),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SYNTHESIS_DIGESTS))
-def test_fleet_synthesis_output_pinned(kind):
-    tb = build_testbed(n_taxis=30, seed=42, kind=kind)
+@pytest.mark.parametrize("key", sorted(SYNTHESIS_DIGESTS))
+def test_fleet_synthesis_output_pinned(key):
+    kind, _, n_taxis = key.partition("-")
+    tb = build_testbed(n_taxis=int(n_taxis or 30), seed=42, kind=kind)
     assert (
         records_digest(tb.fleet.generate_records()),
         chains_digest(tb.fleet.ground_truth),
         dataset_digest(tb.dataset),
-    ) == SYNTHESIS_DIGESTS[kind]
+    ) == SYNTHESIS_DIGESTS[key]

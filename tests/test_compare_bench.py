@@ -197,6 +197,30 @@ class TestHistoryLedger:
             "record": record,
         }
 
+    def test_git_sha_marks_a_dirty_tree(self, tmp_path):
+        import subprocess
+
+        from benchmarks.history import git_sha
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        git("add", "code.py")
+        git("commit", "-q", "--no-gpg-sign", "-m", "init")
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True
+        ).stdout.strip()
+        assert git_sha(tmp_path) == head
+        (tmp_path / "notes.txt").write_text("untracked\n")
+        assert git_sha(tmp_path) == head
+        (tmp_path / "code.py").write_text("x = 2\n")
+        assert git_sha(tmp_path) == f"{head}-dirty"
+
     def test_append_and_load_roundtrip(self, tmp_path):
         from benchmarks.history import append_history, load_history
 
